@@ -45,9 +45,13 @@ check: build fmt vet staticcheck race vuln
 # chaos runs the fault-injection invariant suite under the race detector:
 # every Chaos* test plus the FuzzChaosInvariant seed corpora, which assert
 # that seeded faults never change results and that recovery is deterministic.
+# The determinism test then runs at 1, 2 and 8 procs: the same seed must
+# give byte-identical counters however the tasks are scheduled.
 chaos:
 	$(GO) test -race ./internal/chaos/ ./internal/sim/ ./internal/dfs/
 	$(GO) test -race -run 'Chaos' ./internal/rdd/ ./internal/mapreduce/ \
+		./internal/experiments/
+	$(GO) test -race -count=1 -cpu 1,2,8 -run 'TestRunChaosDeterministic$$' \
 		./internal/experiments/
 
 # diag runs the diagnosis layer end to end on a small fixed-seed dataset
@@ -122,11 +126,11 @@ bench:
 # it against the committed baseline:
 #
 #   make bench-json BENCH_JSON=bench-current.json
-#   $(GO) run ./cmd/benchjson -check BENCH_9.json bench-current.json
+#   $(GO) run ./cmd/benchjson -check BENCH_12.json bench-current.json
 #
 # To refresh the committed baseline after an intentional perf change, run
-# plain `make bench-json` and commit the updated BENCH_9.json.
-BENCH_JSON ?= BENCH_9.json
+# plain `make bench-json` and commit the updated BENCH_12.json.
+BENCH_JSON ?= BENCH_12.json
 bench-json:
 	$(GO) test -run '^$$' -bench 'Pass2|ShuffleResident|Diagnosis' -benchmem -benchtime 3x -count 1 . \
 		| $(GO) run ./cmd/benchjson > $(BENCH_JSON)

@@ -9,7 +9,7 @@
 // Check mode compares a committed baseline against a fresh run and exits
 // nonzero when a gated metric regressed beyond the tolerance:
 //
-//	go run ./cmd/benchjson -check BENCH_9.json bench-current.json
+//	go run ./cmd/benchjson -check BENCH_12.json bench-current.json
 //
 // Only machine-independent metrics gate: B/op (real allocation rate of the
 // counting kernels) and every custom metric containing "virt-sec" (the

@@ -115,6 +115,30 @@ func (fs *FileSystem) BlockSize() int64 { return fs.blockSize }
 // charged for the replication pipeline: every replica's disk write plus the
 // network transfer to each non-local replica.
 func (fs *FileSystem) WriteFile(path string, data []byte, led *sim.Ledger) error {
+	if err := fs.Commit(path, data); err != nil {
+		return err
+	}
+	fs.ChargeWrite(int64(len(data)), led)
+	return nil
+}
+
+// ChargeWrite meters a write of n bytes exactly as WriteFile does — on the
+// ledger and the recorder — without storing anything. Parallel writers use
+// it with Commit to separate paying for a write from placing its blocks:
+// each task charges its own ledger, and the caller commits the files in a
+// fixed order afterwards, so replica placement (which advances a shared
+// round-robin cursor) does not depend on goroutine scheduling.
+func (fs *FileSystem) ChargeWrite(n int64, led *sim.Ledger) {
+	if led != nil {
+		led.AddDiskWrite(n * int64(fs.replication))
+		led.AddNet(n * int64(fs.replication-1))
+	}
+	fs.recorder().AddDFSWrite(n * int64(fs.replication))
+}
+
+// Commit stores data at path, replacing any existing file, and places its
+// block replicas; unlike WriteFile it meters nothing (see ChargeWrite).
+func (fs *FileSystem) Commit(path string, data []byte) error {
 	if path == "" {
 		return fmt.Errorf("dfs: empty path")
 	}
@@ -133,11 +157,6 @@ func (fs *FileSystem) WriteFile(path string, data []byte, led *sim.Ledger) error
 		}
 	}
 	fs.files[path] = f
-	if led != nil {
-		led.AddDiskWrite(int64(len(data)) * int64(fs.replication))
-		led.AddNet(int64(len(data)) * int64(fs.replication-1))
-	}
-	fs.rec.AddDFSWrite(int64(len(data)) * int64(fs.replication))
 	return nil
 }
 

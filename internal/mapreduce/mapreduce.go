@@ -470,6 +470,7 @@ func (r *Runner) runReduceStage(ctx context.Context, job Job, outputs []*mapOutp
 	outRecs := make([]int64, job.NumReducers)
 	outBytes := make([]int64, job.NumReducers)
 	shuffleBytes := make([]int64, job.NumReducers)
+	parts := make([][]byte, job.NumReducers)
 
 	costs, wasted, attempts, err := r.forEach(ctx, "reduce", job.Name+":reduce", job.NumReducers, func(p int, led *sim.Ledger) error {
 		reducer := job.NewReducer()
@@ -525,10 +526,10 @@ func (r *Runner) runReduceStage(ctx context.Context, job Job, outputs []*mapOutp
 			}
 			led.AddCPU(float64(len(merged[k])))
 		}
-		path := fmt.Sprintf("%s/part-r-%05d", job.OutputDir, p)
-		if err := r.fs.WriteFile(path, []byte(sb.String()), led); err != nil {
-			return fmt.Errorf("reducer %d commit: %w", p, err)
-		}
+		// The reducer pays for writing its part file; the job commits the
+		// files in partition order once every reducer has succeeded.
+		parts[p] = []byte(sb.String())
+		r.fs.ChargeWrite(int64(len(parts[p])), led)
 		groups[p] = int64(len(keys))
 		outRecs[p] = outRecords
 		outBytes[p] = int64(sb.Len())
@@ -536,6 +537,15 @@ func (r *Runner) runReduceStage(ctx context.Context, job Job, outputs []*mapOutp
 	})
 	if err != nil {
 		return sim.StageReport{}, err
+	}
+	// Job commit: placing replicas advances the DFS's shared round-robin
+	// cursor, so committing in a fixed order keeps block placement — and
+	// with it every chaos recovery cost — independent of task scheduling.
+	for p, data := range parts {
+		path := fmt.Sprintf("%s/part-r-%05d", job.OutputDir, p)
+		if err := r.fs.Commit(path, data); err != nil {
+			return sim.StageReport{}, fmt.Errorf("reducer %d commit: %w", p, err)
+		}
 	}
 	for p := 0; p < job.NumReducers; p++ {
 		counters.ReduceInputGroups += groups[p]

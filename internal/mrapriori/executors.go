@@ -58,7 +58,7 @@ func (s *simPasses) runCountPass(ctx context.Context, k int, batch [][]itemset.I
 		Name:        fmt.Sprintf("apriori-pass%d", k),
 		Input:       []string{s.inputPath},
 		OutputDir:   outDir,
-		NewMapper:   func() mapreduce.Mapper { return &countMapper{cachePath: cachePath} },
+		NewMapper:   CountMappers(cachePath),
 		NewCombiner: func() mapreduce.Reducer { return sumReducer{} },
 		NewReducer:  func() mapreduce.Reducer { return prunedSumReducer{minCount: minCount} },
 		NumReducers: reducers,

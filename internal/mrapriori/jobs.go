@@ -1,9 +1,13 @@
 package mrapriori
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
+	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"yafim/internal/hashtree"
 	"yafim/internal/itemset"
@@ -38,14 +42,30 @@ func (m *itemMapper) Map(_ int64, line string, emit mapreduce.Emit, led *sim.Led
 // record per locally occurring candidate at cleanup — instead of one
 // <candidate, 1> record per match, which is what the combiner would
 // otherwise have to crunch back down.
+//
+// The trees themselves are read-only and come from the job's shared memo
+// when it has one (see CountMappers); each task owns only its matchers and
+// counts.
 type countMapper struct {
 	cachePath string
-	trees     []*hashtree.Tree
-	keys      [][]string // per tree: candidate index -> emitted key text
+	shared    *sharedTrees // nil: every task builds its own trees
+	trees     *candidateTrees
 	matchers  []*hashtree.Matcher
 	counts    [][]int // per tree: dense candidate counts for this split
 	ops       float64 // batched subset-op CPU charges, flushed periodically
 	rows      int
+}
+
+// CountMappers returns the NewMapper of a candidate-counting job over the
+// distributed-cache file at cachePath. The job's map tasks share one
+// read-only set of candidate hash trees, built the first time a task needs
+// it, the way a broadcast variable is shared in Spark. The ledger still
+// charges every task the full tree construction, as Hadoop pays it per
+// task; only the process stops redoing the work. Call it once per job: the
+// shared trees become garbage with the job.
+func CountMappers(cachePath string) func() mapreduce.Mapper {
+	shared := &sharedTrees{}
+	return func() mapreduce.Mapper { return &countMapper{cachePath: cachePath, shared: shared} }
 }
 
 func (m *countMapper) Setup(cache mapreduce.CacheFiles, led *sim.Ledger) error {
@@ -53,46 +73,94 @@ func (m *countMapper) Setup(cache mapreduce.CacheFiles, led *sim.Ledger) error {
 	if !ok {
 		return fmt.Errorf("mrapriori: candidate cache file %s not localised", m.cachePath)
 	}
+	trees, err := m.shared.get(data)
+	if err != nil {
+		return fmt.Errorf("mrapriori: candidate file %s: %w", m.cachePath, err)
+	}
+	m.trees = trees
+	for _, tree := range trees.trees {
+		m.matchers = append(m.matchers, tree.NewMatcher())
+		m.counts = append(m.counts, make([]int, tree.Len()))
+		led.AddCPU(float64(tree.Len() * tree.K())) // tree construction
+	}
+	return nil
+}
+
+// candidateTrees is one parsed candidate batch: a hash tree per candidate
+// length, in ascending length order, plus each candidate's emitted key text.
+// It is read-only once built, so any number of tasks may count against it
+// concurrently, each with its own matchers.
+type candidateTrees struct {
+	blob  []byte // the cache bytes it was parsed from
+	trees []*hashtree.Tree
+	keys  [][]string // per tree: candidate index -> emitted key text
+}
+
+func buildTrees(blob []byte) (*candidateTrees, error) {
 	byLen := map[int][]itemset.Itemset{}
-	for _, line := range strings.Split(string(data), "\n") {
+	for _, line := range strings.Split(string(blob), "\n") {
 		if line == "" {
 			continue
 		}
 		set, err := parseSet(line)
 		if err != nil {
-			return fmt.Errorf("mrapriori: candidate file: %w", err)
+			return nil, err
 		}
 		byLen[set.Len()] = append(byLen[set.Len()], set)
 	}
 	if len(byLen) == 0 {
-		return fmt.Errorf("mrapriori: candidate file %s is empty", m.cachePath)
+		return nil, errors.New("no candidates")
 	}
 	lengths := make([]int, 0, len(byLen))
 	for k := range byLen {
 		lengths = append(lengths, k)
 	}
-	// Deterministic tree order (ascending candidate length).
-	for i := 0; i < len(lengths); i++ {
-		for j := i + 1; j < len(lengths); j++ {
-			if lengths[j] < lengths[i] {
-				lengths[i], lengths[j] = lengths[j], lengths[i]
-			}
-		}
-	}
+	sort.Ints(lengths) // deterministic tree order
+	ct := &candidateTrees{blob: blob}
 	for _, k := range lengths {
 		cands := byLen[k]
-		tree := hashtree.Build(cands)
 		keys := make([]string, len(cands))
 		for i, c := range cands {
 			keys[i] = setKey(c)
 		}
-		m.trees = append(m.trees, tree)
-		m.keys = append(m.keys, keys)
-		m.matchers = append(m.matchers, tree.NewMatcher())
-		m.counts = append(m.counts, make([]int, len(cands)))
-		led.AddCPU(float64(len(cands) * k)) // tree construction
+		ct.trees = append(ct.trees, hashtree.Build(cands))
+		ct.keys = append(ct.keys, keys)
 	}
-	return nil
+	return ct, nil
+}
+
+// sharedTrees memoizes one job's candidate trees. The first task to arrive
+// builds them from its localised blob; a task whose blob differs byte for
+// byte from the memoized one builds its own instead. A failed build is never
+// memoized, so every task sees the parse error. A nil *sharedTrees builds
+// per task.
+type sharedTrees struct {
+	mu    sync.Mutex
+	trees *candidateTrees
+}
+
+func (s *sharedTrees) get(blob []byte) (*candidateTrees, error) {
+	if s == nil {
+		return buildTrees(blob)
+	}
+	trees, err := s.memo(blob)
+	if err != nil || bytes.Equal(trees.blob, blob) {
+		return trees, err
+	}
+	return buildTrees(blob)
+}
+
+func (s *sharedTrees) memo(blob []byte) (*candidateTrees, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.trees == nil {
+		trees, err := buildTrees(blob)
+		if err != nil {
+			return nil, err
+		}
+		s.trees = trees
+	}
+	return s.trees, nil
 }
 
 // opsFlushRows is how many rows of subset-enumeration charges a count
@@ -105,7 +173,7 @@ func (m *countMapper) Cleanup(emit mapreduce.Emit, led *sim.Ledger) error {
 	for ti, counts := range m.counts {
 		for i, c := range counts {
 			if c != 0 {
-				emit(m.keys[ti][i], strconv.Itoa(c))
+				emit(m.trees.keys[ti][i], strconv.Itoa(c))
 			}
 		}
 	}
@@ -113,7 +181,7 @@ func (m *countMapper) Cleanup(emit mapreduce.Emit, led *sim.Ledger) error {
 }
 
 func (m *countMapper) Map(_ int64, line string, emit mapreduce.Emit, led *sim.Ledger) error {
-	set, err := parseSet(line)
+	set, err := parseItems(line)
 	if err != nil {
 		return fmt.Errorf("mrapriori: transaction: %w", err)
 	}

@@ -21,15 +21,14 @@ package son
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
 	"yafim/internal/apriori"
 	"yafim/internal/dfs"
-	"yafim/internal/hashtree"
 	"yafim/internal/itemset"
 	"yafim/internal/mapreduce"
+	"yafim/internal/mrapriori"
 	"yafim/internal/sim"
 )
 
@@ -120,7 +119,7 @@ func MineContext(ctx context.Context, runner *mapreduce.Runner, fs *dfs.FileSyst
 		Name:        "son-count",
 		Input:       []string{inputPath},
 		OutputDir:   outDir,
-		NewMapper:   func() mapreduce.Mapper { return &countMapper{cachePath: cachePath} },
+		NewMapper:   mrapriori.CountMappers(cachePath),
 		NewCombiner: func() mapreduce.Reducer { return sumReducer{threshold: 0} },
 		NewReducer:  func() mapreduce.Reducer { return sumReducer{threshold: minCount} },
 		NumReducers: reducers,
@@ -208,91 +207,6 @@ func (dedupReducer) Setup(mapreduce.CacheFiles, *sim.Ledger) error { return nil 
 
 func (dedupReducer) Reduce(key string, _ []string, emit mapreduce.Emit, _ *sim.Ledger) error {
 	emit(key, "1")
-	return nil
-}
-
-// countMapper matches mixed-length candidates (one hash tree per length)
-// against each transaction, counting matches into dense per-tree arrays
-// (in-mapper combining) and emitting one <candidate, count> record per
-// locally occurring candidate at cleanup.
-type countMapper struct {
-	cachePath string
-	trees     []*hashtree.Tree
-	keys      [][]string
-	matchers  []*hashtree.Matcher
-	counts    [][]int
-	ops       float64
-	rows      int
-}
-
-func (m *countMapper) Setup(cache mapreduce.CacheFiles, led *sim.Ledger) error {
-	data, ok := cache[m.cachePath]
-	if !ok {
-		return fmt.Errorf("son: candidate file %s not localised", m.cachePath)
-	}
-	byLen := map[int][]itemset.Itemset{}
-	for _, line := range strings.Split(string(data), "\n") {
-		if line == "" {
-			continue
-		}
-		set, err := parseSet(line)
-		if err != nil {
-			return fmt.Errorf("son: candidate file: %w", err)
-		}
-		byLen[set.Len()] = append(byLen[set.Len()], set)
-	}
-	lengths := make([]int, 0, len(byLen))
-	for k := range byLen {
-		lengths = append(lengths, k)
-	}
-	sort.Ints(lengths)
-	for _, k := range lengths {
-		cands := byLen[k]
-		keys := make([]string, len(cands))
-		for i, c := range cands {
-			keys[i] = setKey(c)
-		}
-		tree := hashtree.Build(cands)
-		m.trees = append(m.trees, tree)
-		m.keys = append(m.keys, keys)
-		m.matchers = append(m.matchers, tree.NewMatcher())
-		m.counts = append(m.counts, make([]int, len(cands)))
-		led.AddCPU(float64(len(cands) * k))
-	}
-	return nil
-}
-
-// opsFlushRows is how many rows of subset-enumeration charges the count
-// mapper batches locally before flushing them to the task ledger.
-const opsFlushRows = 512
-
-func (m *countMapper) Cleanup(emit mapreduce.Emit, led *sim.Ledger) error {
-	led.AddCPU(m.ops)
-	m.ops = 0
-	for ti, counts := range m.counts {
-		for i, c := range counts {
-			if c != 0 {
-				emit(m.keys[ti][i], strconv.Itoa(c))
-			}
-		}
-	}
-	return nil
-}
-
-func (m *countMapper) Map(_ int64, line string, emit mapreduce.Emit, led *sim.Ledger) error {
-	set, err := parseSet(line)
-	if err != nil {
-		return fmt.Errorf("son: transaction: %w", err)
-	}
-	led.AddCPU(float64(len(line)))
-	for ti, matcher := range m.matchers {
-		counts := m.counts[ti]
-		m.ops += float64(matcher.Subset(set, func(i int) { counts[i]++ }))
-	}
-	if m.rows++; m.rows%opsFlushRows == 0 {
-		led.AddCPU(m.ops)
-		m.ops = 0
-	}
 	return nil
 }
 
