@@ -14,13 +14,13 @@ package disteclat
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"yafim/internal/apriori"
 	"yafim/internal/dfs"
 	"yafim/internal/itemset"
 	"yafim/internal/rdd"
 	"yafim/internal/sim"
+	"yafim/internal/yafim"
 )
 
 // Config parameterises a mining run.
@@ -31,17 +31,10 @@ type Config struct {
 	NumPartitions int
 }
 
-// tidlist is a sorted list of transaction ids.
-type tidlist []int32
-
-// SizeBytes reports the tidlist's serialized size to the shuffle cost
-// model (rdd.Sizer).
-func (t tidlist) SizeBytes() int64 { return int64(4*len(t)) + 4 }
-
 // vertical is the broadcast payload: per frequent item, its tidlist.
 type vertical struct {
 	items []itemset.Item // frequent items, ascending
-	tids  map[itemset.Item]tidlist
+	tids  map[itemset.Item]itemset.Tidlist
 }
 
 // Mine runs Dist-Eclat over the transaction file at path.
@@ -54,25 +47,11 @@ func Mine(ctx *rdd.Context, fs *dfs.FileSystem, path string, cfg Config) (*aprio
 		parts = ctx.Config().TotalCores()
 	}
 
-	lines, err := rdd.TextFile(ctx, fs, path, parts)
+	trans, err := yafim.LoadTransactions(ctx, fs, path, parts)
 	if err != nil {
 		return nil, fmt.Errorf("disteclat: %w", err)
 	}
-	trans := rdd.MapPartitions(lines, "transactions",
-		func(_ int, rows []string, led *sim.Ledger) ([]itemset.Itemset, error) {
-			out := make([]itemset.Itemset, 0, len(rows))
-			bytes := 0
-			for _, row := range rows {
-				t, err := parseTransaction(row)
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, t)
-				bytes += len(row)
-			}
-			led.AddCPU(float64(bytes))
-			return out, nil
-		}).Cache()
+	trans.Cache()
 
 	// Assign global transaction ids: per-partition counts, then offsets.
 	counts, err := rdd.Collect(rdd.MapPartitions(trans, "partitionSizes",
@@ -90,24 +69,24 @@ func Mine(ctx *rdd.Context, fs *dfs.FileSystem, path string, cfg Config) (*aprio
 	if n == 0 {
 		return nil, fmt.Errorf("disteclat: %s holds no transactions", path)
 	}
-	minCount := minSupportCount(cfg.MinSupport, n)
+	minCount := itemset.MinSupportCount(cfg.MinSupport, n)
 
 	// One shuffle builds the vertical layout: (item, [tid]) pairs combined
 	// into full tidlists, pruned to frequent items.
 	pairs := rdd.MapPartitions(trans, "itemTids",
-		func(p int, rows []itemset.Itemset, led *sim.Ledger) ([]rdd.Pair[int32, tidlist], error) {
-			var out []rdd.Pair[int32, tidlist]
+		func(p int, rows []itemset.Itemset, led *sim.Ledger) ([]rdd.Pair[int32, itemset.Tidlist], error) {
+			var out []rdd.Pair[int32, itemset.Tidlist]
 			for i, t := range rows {
 				tid := offsets[p] + int32(i)
 				for _, it := range t {
-					out = append(out, rdd.Pair[int32, tidlist]{Key: int32(it), Value: tidlist{tid}})
+					out = append(out, rdd.Pair[int32, itemset.Tidlist]{Key: int32(it), Value: itemset.Tidlist{tid}})
 				}
 			}
 			led.AddCPU(float64(len(out)))
 			return out, nil
 		})
-	lists := rdd.ReduceByKey(pairs, "tidlists", mergeTids, parts)
-	frequent := rdd.Filter(lists, "frequentTidlists", func(kv rdd.Pair[int32, tidlist]) bool {
+	lists := rdd.ReduceByKey(pairs, "tidlists", itemset.Tidlist.Merge, parts)
+	frequent := rdd.Filter(lists, "frequentTidlists", func(kv rdd.Pair[int32, itemset.Tidlist]) bool {
 		return len(kv.Value) >= minCount
 	})
 	collected, err := rdd.Collect(frequent)
@@ -117,7 +96,7 @@ func Mine(ctx *rdd.Context, fs *dfs.FileSystem, path string, cfg Config) (*aprio
 
 	res := &apriori.Result{MinSupport: minCount}
 	trace := &apriori.Trace{Result: res}
-	buildDone := jobsDuration(ctx, 0)
+	buildDone := ctx.TotalDuration()
 	trace.Passes = append(trace.Passes, apriori.PassStat{
 		K: 1, Candidates: int(n), Frequent: len(collected), Duration: buildDone,
 	})
@@ -125,7 +104,7 @@ func Mine(ctx *rdd.Context, fs *dfs.FileSystem, path string, cfg Config) (*aprio
 		return trace, nil
 	}
 
-	v := &vertical{tids: make(map[itemset.Item]tidlist, len(collected))}
+	v := &vertical{tids: make(map[itemset.Item]itemset.Tidlist, len(collected))}
 	var l1 []apriori.SetCount
 	var payload int64
 	for _, kv := range collected {
@@ -171,7 +150,7 @@ func Mine(ctx *rdd.Context, fs *dfs.FileSystem, path string, cfg Config) (*aprio
 
 	trace.Passes = append(trace.Passes, apriori.PassStat{
 		K: res.MaxK(), Candidates: len(v.items), Frequent: res.NumFrequent(),
-		Duration: jobsDuration(ctx, 0) - buildDone,
+		Duration: ctx.TotalDuration() - buildDone,
 	})
 	return trace, nil
 }
@@ -179,11 +158,11 @@ func Mine(ctx *rdd.Context, fs *dfs.FileSystem, path string, cfg Config) (*aprio
 // mineSubtree explores all frequent extensions of prefix items[i] by
 // depth-first tidlist intersection, charging one op per tid touched.
 func mineSubtree(v *vertical, i, minCount int, led *sim.Ledger, out *[]apriori.SetCount) {
-	var dfs func(prefix itemset.Itemset, prefixTids tidlist, from int)
-	dfs = func(prefix itemset.Itemset, prefixTids tidlist, from int) {
+	var dfs func(prefix itemset.Itemset, prefixTids itemset.Tidlist, from int)
+	dfs = func(prefix itemset.Itemset, prefixTids itemset.Tidlist, from int) {
 		for j := from; j < len(v.items); j++ {
 			other := v.items[j]
-			shared := intersect(prefixTids, v.tids[other])
+			shared := prefixTids.Intersect(v.tids[other])
 			led.AddCPU(float64(len(prefixTids) + len(v.tids[other])))
 			if len(shared) < minCount {
 				continue
@@ -197,90 +176,10 @@ func mineSubtree(v *vertical, i, minCount int, led *sim.Ledger, out *[]apriori.S
 	dfs(itemset.New(root), v.tids[root], i+1)
 }
 
-func mergeTids(a, b tidlist) tidlist {
-	out := make(tidlist, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
-}
-
-func intersect(a, b tidlist) tidlist {
-	out := make(tidlist, 0, min(len(a), len(b)))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	return out
-}
-
 func seq(n int) []int {
 	out := make([]int, n)
 	for i := range out {
 		out[i] = i
 	}
 	return out
-}
-
-func parseTransaction(line string) (itemset.Itemset, error) {
-	var items []itemset.Item
-	v, inNum := 0, false
-	for i := 0; i <= len(line); i++ {
-		if i < len(line) && line[i] >= '0' && line[i] <= '9' {
-			v = v*10 + int(line[i]-'0')
-			inNum = true
-			continue
-		}
-		if i < len(line) && line[i] != ' ' && line[i] != '\t' {
-			return nil, fmt.Errorf("disteclat: bad transaction line %q", line)
-		}
-		if inNum {
-			items = append(items, itemset.Item(v))
-			v, inNum = 0, false
-		}
-	}
-	return itemset.New(items...), nil
-}
-
-func minSupportCount(rel float64, n int64) int {
-	c := int(rel * float64(n))
-	if float64(c) < rel*float64(n) {
-		c++
-	}
-	if c < 1 {
-		c = 1
-	}
-	return c
-}
-
-// jobsDuration sums job durations from the mark-th report onward.
-func jobsDuration(ctx *rdd.Context, mark int) time.Duration {
-	var d time.Duration
-	for _, r := range ctx.Reports()[mark:] {
-		d += r.Duration()
-	}
-	return d
 }

@@ -92,12 +92,12 @@ func TestMineNothingFrequent(t *testing.T) {
 }
 
 func TestMergeAndIntersect(t *testing.T) {
-	a, b := tidlist{1, 3, 5}, tidlist{2, 3, 6}
-	m := mergeTids(a, b)
+	a, b := itemset.Tidlist{1, 3, 5}, itemset.Tidlist{2, 3, 6}
+	m := a.Merge(b)
 	if len(m) != 5 || m[0] != 1 || m[4] != 6 {
 		t.Fatalf("merge = %v", m)
 	}
-	i := intersect(a, b)
+	i := a.Intersect(b)
 	if len(i) != 1 || i[0] != 3 {
 		t.Fatalf("intersect = %v", i)
 	}

@@ -16,28 +16,6 @@ import (
 	"yafim/internal/itemset"
 )
 
-// tidlist is a sorted list of transaction indices.
-type tidlist []int32
-
-// intersect returns the ordered intersection of two tidlists.
-func intersect(a, b tidlist) tidlist {
-	out := make(tidlist, 0, min(len(a), len(b)))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	return out
-}
-
 // Mine runs Eclat over db at the given relative minimum support, returning
 // results in the same shape as the sequential Apriori miner.
 func Mine(db *itemset.DB, minSupport float64) (*apriori.Result, error) {
@@ -47,7 +25,7 @@ func Mine(db *itemset.DB, minSupport float64) (*apriori.Result, error) {
 	minCount := db.MinSupportCount(minSupport)
 
 	// Build the vertical layout, keeping only frequent items.
-	vertical := make([]tidlist, db.NumItems())
+	vertical := make([]itemset.Tidlist, db.NumItems())
 	for ti, tr := range db.Transactions {
 		for _, it := range tr.Items {
 			vertical[it] = append(vertical[it], int32(ti))
@@ -55,7 +33,7 @@ func Mine(db *itemset.DB, minSupport float64) (*apriori.Result, error) {
 	}
 	type cell struct {
 		item itemset.Item
-		tids tidlist
+		tids itemset.Tidlist
 	}
 	var frontier []cell
 	for it, tids := range vertical {
@@ -73,7 +51,7 @@ func Mine(db *itemset.DB, minSupport float64) (*apriori.Result, error) {
 				apriori.SetCount{Set: set, Count: len(c.tids)})
 			var next []cell
 			for _, d := range ext[i+1:] {
-				shared := intersect(c.tids, d.tids)
+				shared := c.tids.Intersect(d.tids)
 				if len(shared) >= minCount {
 					next = append(next, cell{d.item, shared})
 				}

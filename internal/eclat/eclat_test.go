@@ -18,15 +18,15 @@ func classicDB() *itemset.DB {
 
 func TestIntersect(t *testing.T) {
 	cases := []struct {
-		a, b, want tidlist
+		a, b, want itemset.Tidlist
 	}{
-		{tidlist{1, 2, 3}, tidlist{2, 3, 4}, tidlist{2, 3}},
-		{tidlist{}, tidlist{1}, tidlist{}},
-		{tidlist{1, 5, 9}, tidlist{2, 6}, tidlist{}},
-		{tidlist{1, 2}, tidlist{1, 2}, tidlist{1, 2}},
+		{itemset.Tidlist{1, 2, 3}, itemset.Tidlist{2, 3, 4}, itemset.Tidlist{2, 3}},
+		{itemset.Tidlist{}, itemset.Tidlist{1}, itemset.Tidlist{}},
+		{itemset.Tidlist{1, 5, 9}, itemset.Tidlist{2, 6}, itemset.Tidlist{}},
+		{itemset.Tidlist{1, 2}, itemset.Tidlist{1, 2}, itemset.Tidlist{1, 2}},
 	}
 	for _, c := range cases {
-		got := intersect(c.a, c.b)
+		got := c.a.Intersect(c.b)
 		if len(got) != len(c.want) {
 			t.Fatalf("intersect(%v,%v) = %v", c.a, c.b, got)
 		}

@@ -4,8 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 )
 
 // Transaction is one record of a transactional database: a transaction
@@ -51,17 +49,25 @@ func (db *DB) NumItems() int { return db.numItems }
 // into an absolute transaction count, rounding up so that an itemset is
 // frequent iff its count >= the returned value.
 func (db *DB) MinSupportCount(relative float64) int {
+	return MinSupportCount(relative, int64(db.Len()))
+}
+
+// MinSupportCount converts a relative minimum support into an absolute
+// count over n transactions, rounding up and never below 1. Every engine
+// derives its threshold here, so all of them agree on which itemsets are
+// frequent.
+func MinSupportCount(relative float64, n int64) int {
 	if relative < 0 || relative > 1 {
 		panic(fmt.Sprintf("itemset: relative support %v out of [0,1]", relative))
 	}
-	n := int(relative * float64(db.Len()))
-	if float64(n) < relative*float64(db.Len()) {
-		n++
+	c := int(relative * float64(n))
+	if float64(c) < relative*float64(n) {
+		c++
 	}
-	if n < 1 {
-		n = 1
+	if c < 1 {
+		c = 1
 	}
-	return n
+	return c
 }
 
 // Replicate returns a database whose transaction list is db's repeated
@@ -158,32 +164,21 @@ func decimalWidth(v int64) int {
 func (db *DB) WriteTo(w io.Writer) (int64, error) {
 	bw := bufio.NewWriter(w)
 	var n int64
+	var line []byte
 	for _, t := range db.Transactions {
-		for i, it := range t.Items {
-			if i > 0 {
-				if err := bw.WriteByte(' '); err != nil {
-					return n, err
-				}
-				n++
-			}
-			s := strconv.FormatInt(int64(it), 10)
-			m, err := bw.WriteString(s)
-			n += int64(m)
-			if err != nil {
-				return n, err
-			}
-		}
-		if err := bw.WriteByte('\n'); err != nil {
+		line = append(appendSet(line[:0], t.Items), '\n')
+		m, err := bw.Write(line)
+		n += int64(m)
+		if err != nil {
 			return n, err
 		}
-		n++
 	}
 	return n, bw.Flush()
 }
 
 // ReadDB parses the .dat format produced by WriteTo (and used by the FIMI
-// dataset repository): one transaction per line, whitespace-separated
-// non-negative integers. Blank lines are skipped.
+// dataset repository): one transaction per line in the text format of
+// ParseTransaction. Lines with no items are skipped.
 func ReadDB(name string, r io.Reader) (*DB, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
@@ -191,22 +186,13 @@ func ReadDB(name string, r io.Reader) (*DB, error) {
 	line := 0
 	for sc.Scan() {
 		line++
-		fields := strings.Fields(sc.Text())
-		if len(fields) == 0 {
-			continue
+		row, err := ParseTransaction(sc.Text())
+		if err != nil {
+			return nil, fmt.Errorf("%s:%d: %w", name, line, err)
 		}
-		row := make([]Item, 0, len(fields))
-		for _, f := range fields {
-			v, err := strconv.ParseInt(f, 10, 32)
-			if err != nil {
-				return nil, fmt.Errorf("itemset: %s:%d: bad item %q: %w", name, line, f, err)
-			}
-			if v < 0 {
-				return nil, fmt.Errorf("itemset: %s:%d: bad item %q: negative item id", name, line, f)
-			}
-			row = append(row, Item(v))
+		if len(row) > 0 {
+			rows = append(rows, row)
 		}
-		rows = append(rows, row)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("itemset: reading %s: %w", name, err)

@@ -49,7 +49,7 @@ func (s *simPasses) runPass1(ctx context.Context, reducers, mapTasks int) (*pass
 func (s *simPasses) runCountPass(ctx context.Context, k int, batch [][]itemset.Itemset,
 	minCount, reducers, mapTasks int) (*passOutput, error) {
 	cachePath := fmt.Sprintf("%s/C%d", s.workDir, k)
-	if err := s.fs.WriteFile(cachePath, encodeCandidates(batch), nil); err != nil {
+	if err := s.fs.WriteFile(cachePath, itemset.EncodeSets(batch...), nil); err != nil {
 		return nil, err
 	}
 	outDir := fmt.Sprintf("%s/L%d", s.workDir, k)
@@ -182,7 +182,7 @@ func (d *distPasses) runCountPass(ctx context.Context, k int, batch [][]itemset.
 		InputPath:   d.inputPath,
 		NumMaps:     mapTasks,
 		NumReducers: reducers,
-		Cache:       map[string][]byte{cachePath: encodeCandidates(batch)},
+		Cache:       map[string][]byte{cachePath: itemset.EncodeSets(batch...)},
 	})
 	if err != nil {
 		return nil, err

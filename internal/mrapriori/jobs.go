@@ -24,12 +24,12 @@ func (m *itemMapper) Setup(mapreduce.CacheFiles, *sim.Ledger) error { return nil
 func (m *itemMapper) Cleanup(mapreduce.Emit, *sim.Ledger) error { return nil }
 
 func (m *itemMapper) Map(_ int64, line string, emit mapreduce.Emit, led *sim.Ledger) error {
-	fields := strings.Fields(line)
-	for _, f := range fields {
-		if _, err := strconv.ParseUint(f, 10, 31); err != nil {
-			return fmt.Errorf("mrapriori: bad transaction item %q", f)
-		}
-		emit(f, "1")
+	set, err := itemset.ParseTransaction(line)
+	if err != nil {
+		return fmt.Errorf("mrapriori: transaction: %w", err)
+	}
+	for _, it := range set {
+		emit(strconv.Itoa(int(it)), "1") // the 1-itemset's FormatSet key
 	}
 	led.AddCPU(float64(len(line)))
 	return nil
@@ -102,9 +102,12 @@ func buildTrees(blob []byte) (*candidateTrees, error) {
 		if line == "" {
 			continue
 		}
-		set, err := parseSet(line)
+		set, err := itemset.ParseTransaction(line)
 		if err != nil {
 			return nil, err
+		}
+		if set.Len() == 0 {
+			return nil, errors.New("blank candidate line")
 		}
 		byLen[set.Len()] = append(byLen[set.Len()], set)
 	}
@@ -121,7 +124,7 @@ func buildTrees(blob []byte) (*candidateTrees, error) {
 		cands := byLen[k]
 		keys := make([]string, len(cands))
 		for i, c := range cands {
-			keys[i] = setKey(c)
+			keys[i] = itemset.FormatSet(c)
 		}
 		ct.trees = append(ct.trees, hashtree.Build(cands))
 		ct.keys = append(ct.keys, keys)
@@ -181,7 +184,7 @@ func (m *countMapper) Cleanup(emit mapreduce.Emit, led *sim.Ledger) error {
 }
 
 func (m *countMapper) Map(_ int64, line string, emit mapreduce.Emit, led *sim.Ledger) error {
-	set, err := parseItems(line)
+	set, err := itemset.ParseTransaction(line)
 	if err != nil {
 		return fmt.Errorf("mrapriori: transaction: %w", err)
 	}

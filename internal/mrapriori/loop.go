@@ -73,7 +73,7 @@ func mineLoop(ctx context.Context, pr passRunner, rec *obs.Recorder, cfg Config,
 	if n == 0 {
 		return nil, fmt.Errorf("mrapriori: %s holds no transactions", inputPath)
 	}
-	minCount := minSupportCount(cfg.MinSupport, n)
+	minCount := itemset.MinSupportCount(cfg.MinSupport, n)
 	rec.ObservePass("mapreduce", 1, int(n))
 
 	var l1 []apriori.SetCount

@@ -142,20 +142,24 @@ func TestMineMaxK(t *testing.T) {
 	}
 }
 
+// The counting jobs key each itemset by its text (itemset.FormatSet) and
+// read the reducer output back with parseCountedSet.
 func TestSetKeyRoundTrip(t *testing.T) {
 	for _, s := range []itemset.Itemset{itemset.New(1), itemset.New(3, 1, 4), itemset.New(100, 2000)} {
-		back, err := parseSet(setKey(s))
+		count, back, err := parseCountedSet(mapreduce.KV{Key: itemset.FormatSet(s), Value: "3"})
 		if err != nil {
-			t.Fatalf("parseSet(%q): %v", setKey(s), err)
+			t.Fatalf("parseCountedSet(%q): %v", itemset.FormatSet(s), err)
 		}
-		if !back.Equal(s) {
-			t.Fatalf("round trip %v -> %v", s, back)
+		if !back.Equal(s) || count != 3 {
+			t.Fatalf("round trip %v -> %v (count %d)", s, back, count)
 		}
 	}
-	if _, err := parseSet(""); err == nil {
-		t.Error("empty set text accepted")
+	for _, key := range []string{"", " \r"} {
+		if _, _, err := parseCountedSet(mapreduce.KV{Key: key, Value: "3"}); err == nil {
+			t.Errorf("empty itemset key %q accepted", key)
+		}
 	}
-	if _, err := parseSet("1 x"); err == nil {
+	if _, _, err := parseCountedSet(mapreduce.KV{Key: "1 x", Value: "3"}); err == nil {
 		t.Error("bad item accepted")
 	}
 }

@@ -6,11 +6,9 @@
 //
 // The run is a fixed number of RDD jobs regardless of lattice depth:
 //
-//   - Pass 1 loads the transactions into a cached RDD, assigns global
-//     transaction ids from per-partition offsets, and computes the frequent
-//     1-itemsets with the same flatMap → map → reduceByKey pipeline YAFIM
-//     uses (their counts must be byte-identical, which the parity suite
-//     locks).
+//   - Pass 1 is YAFIM's Phase I (yafim.LoadTransactions and
+//     yafim.FrequentItems) with the transactions RDD cached, plus global
+//     transaction ids assigned from per-partition offsets.
 //   - The vertical build shuffles (dense item id, tidlist-fragment) pairs —
 //     map-side combined so each partition emits one fragment per occurring
 //     item — merges them into full tidlists, and converts the collected
@@ -37,13 +35,13 @@ package rddeclat
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"yafim/internal/apriori"
 	"yafim/internal/dfs"
 	"yafim/internal/itemset"
 	"yafim/internal/rdd"
 	"yafim/internal/sim"
+	"yafim/internal/yafim"
 )
 
 // Config parameterises a mining run.
@@ -55,14 +53,6 @@ type Config struct {
 	// MaxK stops after frequent itemsets of this size (0 = unbounded).
 	MaxK int
 }
-
-// tidlist is a sorted list of global transaction ids — the shuffle currency
-// of the vertical build. Fragments from distinct input partitions cover
-// disjoint tid ranges, so merging stays a linear sorted merge.
-type tidlist []int32
-
-// SizeBytes reports the tidlist's serialized size to the shuffle cost model.
-func (t tidlist) SizeBytes() int64 { return int64(4*len(t)) + 4 }
 
 // vertical is the broadcast payload of the mining passes: per frequent
 // item (by dense id), the bitset of transactions containing it.
@@ -89,12 +79,6 @@ type classIndex struct {
 	partners [][]int32
 }
 
-// cancelCheckRows is how many rows/classes a partition closure processes
-// between cooperative cancellation checks (same contract as the YAFIM
-// driver: frequent enough to stop a runaway pass promptly, rare enough to
-// cost nothing).
-const cancelCheckRows = 512
-
 // Mine runs RDD-Eclat over the transaction file at path in the DFS.
 func Mine(ctx *rdd.Context, fs *dfs.FileSystem, path string, cfg Config) (*apriori.Trace, error) {
 	if cfg.MinSupport <= 0 || cfg.MinSupport > 1 {
@@ -105,34 +89,15 @@ func Mine(ctx *rdd.Context, fs *dfs.FileSystem, path string, cfg Config) (*aprio
 		parts = ctx.Config().TotalCores()
 	}
 
-	lines, err := rdd.TextFile(ctx, fs, path, parts)
+	trans, err := yafim.LoadTransactions(ctx, fs, path, parts)
 	if err != nil {
 		return nil, fmt.Errorf("rddeclat: %w", err)
 	}
-	trans := rdd.MapPartitions(lines, "transactions",
-		func(_ int, rows []string, led *sim.Ledger) ([]itemset.Itemset, error) {
-			out := make([]itemset.Itemset, 0, len(rows))
-			parsedBytes := 0
-			for i, row := range rows {
-				if i%cancelCheckRows == 0 {
-					if err := ctx.Err(); err != nil {
-						return nil, err
-					}
-				}
-				t, err := parseTransaction(row)
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, t)
-				parsedBytes += len(row)
-			}
-			led.AddCPU(float64(parsedBytes))
-			return out, nil
-		}).Cache()
+	trans.Cache()
 
 	rec := ctx.Recorder()
 	rec.SetPass(1)
-	passStart := markJobs(ctx)
+	passStart := ctx.TotalDuration()
 	passMark := rec.Counters()
 
 	// Global transaction ids: per-partition counts, then prefix offsets.
@@ -153,29 +118,16 @@ func Mine(ctx *rdd.Context, fs *dfs.FileSystem, path string, cfg Config) (*aprio
 	if n == 0 {
 		return nil, fmt.Errorf("rddeclat: %s holds no transactions", path)
 	}
-	minCount := minSupportCount(cfg.MinSupport, n)
+	minCount := itemset.MinSupportCount(cfg.MinSupport, n)
 	rec.ObservePass("rdd", 1, int(n))
 
-	// Pass 1 counting: flatMap items, map to pairs, reduceByKey, prune —
-	// structurally identical to YAFIM's Phase I so the two engines' L1 is
-	// trivially byte-identical.
-	items := rdd.FlatMap(trans, "items", func(t itemset.Itemset) []itemset.Item { return t })
-	pairs := rdd.Map(items, "itemPairs", func(it itemset.Item) rdd.Pair[int32, int] {
-		return rdd.Pair[int32, int]{Key: int32(it), Value: 1}
-	})
-	itemCounts := rdd.ReduceByKey(pairs, "itemCounts", func(a, b int) int { return a + b }, parts)
-	frequentItems := rdd.Filter(itemCounts, "frequentItems", func(kv rdd.Pair[int32, int]) bool {
-		return kv.Value >= minCount
-	})
-	l1Pairs, err := rdd.Collect(frequentItems)
+	l1, err := yafim.FrequentItems(trans, minCount, parts)
 	if err != nil {
 		return nil, fmt.Errorf("rddeclat: pass 1: %w", err)
 	}
-	l1 := make([]apriori.SetCount, len(l1Pairs))
-	l1Sets := make([]itemset.Itemset, len(l1Pairs))
-	for i, kv := range l1Pairs {
-		l1[i] = apriori.SetCount{Set: itemset.New(itemset.Item(kv.Key)), Count: kv.Value}
-		l1Sets[i] = l1[i].Set
+	l1Sets := make([]itemset.Itemset, len(l1))
+	for i, sc := range l1 {
+		l1Sets[i] = sc.Set
 	}
 
 	res := &apriori.Result{MinSupport: minCount}
@@ -187,7 +139,7 @@ func Mine(ctx *rdd.Context, fs *dfs.FileSystem, path string, cfg Config) (*aprio
 		ctx.FreeShuffles()
 		trace.Passes = append(trace.Passes, apriori.PassStat{
 			K: k, Candidates: candidates, Frequent: frequent,
-			Duration: jobsSince(ctx, passStart),
+			Duration: ctx.TotalDuration() - passStart,
 			Counters: rec.Counters().Sub(passMark),
 		})
 	}
@@ -208,15 +160,15 @@ func Mine(ctx *rdd.Context, fs *dfs.FileSystem, path string, cfg Config) (*aprio
 	ix := itemset.NewItemIndex(l1Sets)
 	m := ix.Len()
 	rec.SetPass(2)
-	passStart = markJobs(ctx)
+	passStart = ctx.TotalDuration()
 	passMark = rec.Counters()
 	rec.ObservePass("rdd", 2, m*(m-1)/2)
 	tidPairs := rdd.MapPartitions(trans, "itemTids",
-		func(p int, rows []itemset.Itemset, led *sim.Ledger) ([]rdd.Pair[int32, tidlist], error) {
-			lists := make([]tidlist, m)
+		func(p int, rows []itemset.Itemset, led *sim.Ledger) ([]rdd.Pair[int32, itemset.Tidlist], error) {
+			lists := make([]itemset.Tidlist, m)
 			occurrences := 0
 			for i, t := range rows {
-				if i%cancelCheckRows == 0 {
+				if i%yafim.CancelCheckRows == 0 {
 					if err := ctx.Err(); err != nil {
 						return nil, err
 					}
@@ -230,15 +182,15 @@ func Mine(ctx *rdd.Context, fs *dfs.FileSystem, path string, cfg Config) (*aprio
 				}
 			}
 			led.AddCPU(float64(occurrences))
-			out := make([]rdd.Pair[int32, tidlist], 0, m)
+			out := make([]rdd.Pair[int32, itemset.Tidlist], 0, m)
 			for d, l := range lists {
 				if len(l) > 0 {
-					out = append(out, rdd.Pair[int32, tidlist]{Key: int32(d), Value: l})
+					out = append(out, rdd.Pair[int32, itemset.Tidlist]{Key: int32(d), Value: l})
 				}
 			}
 			return out, nil
 		})
-	tidlists := rdd.ReduceByKey(tidPairs, "tidlists", mergeTids, parts)
+	tidlists := rdd.ReduceByKey(tidPairs, "tidlists", itemset.Tidlist.Merge, parts)
 	collected, err := rdd.Collect(tidlists)
 	if err != nil {
 		return nil, fmt.Errorf("rddeclat: building tidlists: %w", err)
@@ -315,7 +267,7 @@ func Mine(ctx *rdd.Context, fs *dfs.FileSystem, path string, cfg Config) (*aprio
 	// partitioned across tasks; the class's extension candidates are the
 	// partners of i beyond j, and each class is mined depth-first locally.
 	rec.SetPass(3)
-	passStart = markJobs(ctx)
+	passStart = ctx.TotalDuration()
 	passMark = rec.Counters()
 	rec.ObservePass("rdd", 3, len(l2Pairs))
 	ci := &classIndex{partners: make([][]int32, m)}
@@ -454,78 +406,10 @@ func mineClass(v *vertical, ci *classIndex, c pair2, minCount, maxK int,
 	led.AddCPU(float64(ops))
 }
 
-// mergeTids merges two sorted tidlists (fragments from distinct input
-// partitions are disjoint, but the merge tolerates arbitrary overlap).
-func mergeTids(a, b tidlist) tidlist {
-	out := make(tidlist, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
-}
-
 func seq(n int) []int {
 	out := make([]int, n)
 	for i := range out {
 		out[i] = i
 	}
 	return out
-}
-
-func parseTransaction(line string) (itemset.Itemset, error) {
-	var items []itemset.Item
-	v, inNum := 0, false
-	for i := 0; i <= len(line); i++ {
-		if i < len(line) && line[i] >= '0' && line[i] <= '9' {
-			v = v*10 + int(line[i]-'0')
-			inNum = true
-			continue
-		}
-		if i < len(line) && line[i] != ' ' && line[i] != '\t' {
-			return nil, fmt.Errorf("rddeclat: bad transaction line %q", line)
-		}
-		if inNum {
-			items = append(items, itemset.Item(v))
-			v, inNum = 0, false
-		}
-	}
-	return itemset.New(items...), nil
-}
-
-// minSupportCount converts a relative support into an absolute count over n
-// transactions, rounding up (same contract as itemset.DB.MinSupportCount).
-func minSupportCount(rel float64, n int64) int {
-	c := int(rel * float64(n))
-	if float64(c) < rel*float64(n) {
-		c++
-	}
-	if c < 1 {
-		c = 1
-	}
-	return c
-}
-
-// markJobs and jobsSince bracket a pass to attribute job durations to it.
-func markJobs(ctx *rdd.Context) int { return len(ctx.Reports()) }
-
-func jobsSince(ctx *rdd.Context, mark int) time.Duration {
-	var d time.Duration
-	for _, r := range ctx.Reports()[mark:] {
-		d += r.Duration()
-	}
-	return d
 }

@@ -221,12 +221,12 @@ func TestChaosNodeKillMidIntersection(t *testing.T) {
 }
 
 func TestMergeTids(t *testing.T) {
-	a, b := tidlist{1, 3, 5}, tidlist{2, 3, 6}
-	m := mergeTids(a, b)
+	a, b := itemset.Tidlist{1, 3, 5}, itemset.Tidlist{2, 3, 6}
+	m := a.Merge(b)
 	if len(m) != 5 || m[0] != 1 || m[4] != 6 {
 		t.Fatalf("merge = %v", m)
 	}
-	if got := mergeTids(nil, tidlist{7}); len(got) != 1 || got[0] != 7 {
+	if got := itemset.Tidlist(nil).Merge(itemset.Tidlist{7}); len(got) != 1 || got[0] != 7 {
 		t.Fatalf("merge with empty = %v", got)
 	}
 }

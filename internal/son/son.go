@@ -22,7 +22,6 @@ import (
 	"context"
 	"fmt"
 	"strconv"
-	"strings"
 
 	"yafim/internal/apriori"
 	"yafim/internal/dfs"
@@ -85,7 +84,7 @@ func MineContext(ctx context.Context, runner *mapreduce.Runner, fs *dfs.FileSyst
 	if n == 0 {
 		return nil, fmt.Errorf("son: %s holds no transactions", inputPath)
 	}
-	minCount := minSupportCount(cfg.MinSupport, n)
+	minCount := itemset.MinSupportCount(cfg.MinSupport, n)
 
 	kvs, err := mapreduce.ReadOutput(fs, candDir, nil)
 	if err != nil {
@@ -93,7 +92,7 @@ func MineContext(ctx context.Context, runner *mapreduce.Runner, fs *dfs.FileSyst
 	}
 	var candidates []itemset.Itemset
 	for _, kv := range kvs {
-		set, err := parseSet(kv.Key)
+		set, err := itemset.ParseTransaction(kv.Key)
 		if err != nil {
 			return nil, fmt.Errorf("son: candidate output: %w", err)
 		}
@@ -110,7 +109,7 @@ func MineContext(ctx context.Context, runner *mapreduce.Runner, fs *dfs.FileSyst
 
 	// Job 2: exact global counting of every candidate.
 	cachePath := workDir + "/candidate-set"
-	if err := fs.WriteFile(cachePath, encodeSets(candidates), nil); err != nil {
+	if err := fs.WriteFile(cachePath, itemset.EncodeSets(candidates), nil); err != nil {
 		return nil, fmt.Errorf("son: staging candidates: %w", err)
 	}
 	outDir := workDir + "/frequent"
@@ -136,7 +135,7 @@ func MineContext(ctx context.Context, runner *mapreduce.Runner, fs *dfs.FileSyst
 	}
 	byLevel := map[int][]apriori.SetCount{}
 	for _, kv := range kvs {
-		set, err := parseSet(kv.Key)
+		set, err := itemset.ParseTransaction(kv.Key)
 		if err != nil {
 			return nil, fmt.Errorf("son: count output: %w", err)
 		}
@@ -172,7 +171,7 @@ type localMiner struct {
 func (m *localMiner) Setup(mapreduce.CacheFiles, *sim.Ledger) error { return nil }
 
 func (m *localMiner) Map(_ int64, line string, _ mapreduce.Emit, led *sim.Ledger) error {
-	set, err := parseSet(line)
+	set, err := itemset.ParseTransaction(line)
 	if err != nil {
 		return fmt.Errorf("son: transaction: %w", err)
 	}
@@ -194,7 +193,7 @@ func (m *localMiner) Cleanup(emit mapreduce.Emit, led *sim.Ledger) error {
 	led.AddCPU(float64(db.Len() * max(res.MaxK(), 1) * 4))
 	for _, level := range res.Levels {
 		for _, sc := range level.Sets {
-			emit(setKey(sc.Set), "1")
+			emit(itemset.FormatSet(sc.Set), "1")
 		}
 	}
 	return nil
@@ -229,48 +228,4 @@ func (r sumReducer) Reduce(key string, values []string, emit mapreduce.Emit, _ *
 		emit(key, strconv.Itoa(total))
 	}
 	return nil
-}
-
-func setKey(s itemset.Itemset) string {
-	var sb strings.Builder
-	for i, it := range s {
-		if i > 0 {
-			sb.WriteByte(' ')
-		}
-		sb.WriteString(strconv.Itoa(int(it)))
-	}
-	return sb.String()
-}
-
-func parseSet(text string) (itemset.Itemset, error) {
-	fields := strings.Fields(text)
-	items := make([]itemset.Item, len(fields))
-	for i, f := range fields {
-		v, err := strconv.ParseInt(f, 10, 32)
-		if err != nil || v < 0 {
-			return nil, fmt.Errorf("bad item %q", f)
-		}
-		items[i] = itemset.Item(v)
-	}
-	return itemset.New(items...), nil
-}
-
-func encodeSets(sets []itemset.Itemset) []byte {
-	var sb strings.Builder
-	for _, s := range sets {
-		sb.WriteString(setKey(s))
-		sb.WriteByte('\n')
-	}
-	return []byte(sb.String())
-}
-
-func minSupportCount(rel float64, n int64) int {
-	c := int(rel * float64(n))
-	if float64(c) < rel*float64(n) {
-		c++
-	}
-	if c < 1 {
-		c = 1
-	}
-	return c
 }

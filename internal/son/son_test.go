@@ -11,6 +11,7 @@ import (
 	"yafim/internal/dfs"
 	"yafim/internal/itemset"
 	"yafim/internal/mapreduce"
+	"yafim/internal/sim"
 )
 
 func classicDB() *itemset.DB {
@@ -139,10 +140,29 @@ func TestMineMatchesOracleProperty(t *testing.T) {
 	}
 }
 
+// The local-mining job keys each itemset it emits by its text
+// (itemset.FormatSet); the driver reads those keys back with
+// itemset.ParseTransaction.
 func TestSetKeyRoundTrip(t *testing.T) {
-	s := itemset.New(5, 1, 300)
-	back, err := parseSet(setKey(s))
-	if err != nil || !back.Equal(s) {
-		t.Fatalf("round trip %v -> %v (%v)", s, back, err)
+	m := &localMiner{support: 1}
+	if err := m.Map(0, "300 5 1", nil, &sim.Ledger{}); err != nil {
+		t.Fatal(err)
+	}
+	var got []itemset.Itemset
+	emit := func(key, _ string) {
+		s, err := itemset.ParseTransaction(key)
+		if err != nil {
+			t.Fatalf("emitted key %q: %v", key, err)
+		}
+		got = append(got, s)
+	}
+	if err := m.Cleanup(emit, &sim.Ledger{}); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 7 {
+		t.Fatalf("emitted %d sets, want the 7 non-empty subsets: %v", len(got), got)
+	}
+	if s := itemset.New(5, 1, 300); !got[len(got)-1].Equal(s) {
+		t.Fatalf("round trip %v -> %v", s, got[len(got)-1])
 	}
 }

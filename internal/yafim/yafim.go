@@ -19,7 +19,6 @@ package yafim
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"yafim/internal/apriori"
 	"yafim/internal/dfs"
@@ -56,39 +55,17 @@ func Mine(ctx *rdd.Context, fs *dfs.FileSystem, path string, cfg Config) (*aprio
 	}
 
 	// Phase I — load transactions into a cached RDD.
-	lines, err := rdd.TextFile(ctx, fs, path, parts)
+	trans, err := LoadTransactions(ctx, fs, path, parts)
 	if err != nil {
 		return nil, fmt.Errorf("yafim: %w", err)
 	}
-	trans := rdd.MapPartitions(lines, "transactions",
-		func(_ int, rows []string, led *sim.Ledger) ([]itemset.Itemset, error) {
-			out := make([]itemset.Itemset, 0, len(rows))
-			parsedBytes := 0
-			for i, row := range rows {
-				if i%cancelCheckRows == 0 {
-					if err := ctx.Err(); err != nil {
-						return nil, err
-					}
-				}
-				t, err := parseTransaction(row)
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, t)
-				parsedBytes += len(row)
-			}
-			// Text parsing costs one op per byte; caching the RDD is what
-			// saves re-paying it on every pass.
-			led.AddCPU(float64(parsedBytes))
-			return out, nil
-		})
 	if !cfg.DisableCache {
 		trans.Cache()
 	}
 
 	rec := ctx.Recorder()
 	rec.SetPass(1)
-	passStart := markJobs(ctx)
+	passStart := ctx.TotalDuration()
 	passMark := rec.Counters()
 	n, err := rdd.Count(trans)
 	if err != nil {
@@ -97,27 +74,14 @@ func Mine(ctx *rdd.Context, fs *dfs.FileSystem, path string, cfg Config) (*aprio
 	if n == 0 {
 		return nil, fmt.Errorf("yafim: %s holds no transactions", path)
 	}
-	minCount := minSupportCount(cfg.MinSupport, n)
+	minCount := itemset.MinSupportCount(cfg.MinSupport, n)
 	rec.ObservePass("rdd", 1, int(n))
 	res := &apriori.Result{MinSupport: minCount}
 	out := &apriori.Trace{Result: res}
 
-	// Phase I counting: flatMap items, map to pairs, reduceByKey, prune.
-	items := rdd.FlatMap(trans, "items", func(t itemset.Itemset) []itemset.Item { return t })
-	pairs := rdd.Map(items, "itemPairs", func(it itemset.Item) rdd.Pair[int32, int] {
-		return rdd.Pair[int32, int]{Key: int32(it), Value: 1}
-	})
-	counts := rdd.ReduceByKey(pairs, "itemCounts", func(a, b int) int { return a + b }, parts)
-	frequent := rdd.Filter(counts, "frequentItems", func(kv rdd.Pair[int32, int]) bool {
-		return kv.Value >= minCount
-	})
-	l1Pairs, err := rdd.Collect(frequent)
+	l1, err := FrequentItems(trans, minCount, parts)
 	if err != nil {
 		return nil, fmt.Errorf("yafim: phase I: %w", err)
-	}
-	l1 := make([]apriori.SetCount, len(l1Pairs))
-	for i, kv := range l1Pairs {
-		l1[i] = apriori.SetCount{Set: itemset.New(itemset.Item(kv.Key)), Count: kv.Value}
 	}
 	// Pass boundary: the Phase I shuffle output (itemCounts) has been
 	// reduced and collected; release its resident map-side buckets so pass 2
@@ -126,7 +90,7 @@ func Mine(ctx *rdd.Context, fs *dfs.FileSystem, path string, cfg Config) (*aprio
 	// before the PassStat snapshot attributes the reclamation to this pass.
 	ctx.FreeShuffles()
 	out.Passes = append(out.Passes, apriori.PassStat{
-		K: 1, Candidates: int(n), Frequent: len(l1), Duration: jobsSince(ctx, passStart),
+		K: 1, Candidates: int(n), Frequent: len(l1), Duration: ctx.TotalDuration() - passStart,
 		Counters: rec.Counters().Sub(passMark),
 	})
 	if len(l1) == 0 {
@@ -141,7 +105,7 @@ func Mine(ctx *rdd.Context, fs *dfs.FileSystem, path string, cfg Config) (*aprio
 			return nil, fmt.Errorf("yafim: pass %d: %w", k, err)
 		}
 		rec.SetPass(k)
-		passStart = markJobs(ctx)
+		passStart = ctx.TotalDuration()
 		passMark = rec.Counters()
 		cands, err := apriori.Gen(prev)
 		if err != nil {
@@ -159,7 +123,7 @@ func Mine(ctx *rdd.Context, fs *dfs.FileSystem, path string, cfg Config) (*aprio
 		// C_{k+1}, the iteration-scoped unpersist discipline.
 		ctx.FreeShuffles()
 		out.Passes = append(out.Passes, apriori.PassStat{
-			K: k, Candidates: len(cands), Frequent: len(lk), Duration: jobsSince(ctx, passStart),
+			K: k, Candidates: len(cands), Frequent: len(lk), Duration: ctx.TotalDuration() - passStart,
 			Counters: rec.Counters().Sub(passMark),
 		})
 		if len(lk) == 0 {
@@ -171,10 +135,66 @@ func Mine(ctx *rdd.Context, fs *dfs.FileSystem, path string, cfg Config) (*aprio
 	return out, nil
 }
 
-// cancelCheckRows is how many rows a partition closure processes between
+// CancelCheckRows is how many rows a partition closure processes between
 // cooperative cancellation checks: frequent enough that a runaway pass (e.g.
 // a candidate explosion) stops promptly, rare enough to cost nothing.
-const cancelCheckRows = 512
+const CancelCheckRows = 512
+
+// LoadTransactions is Phase I's load step, shared by every RDD engine: it
+// reads the transaction text at path into an RDD holding one canonical
+// itemset per line (itemset.ParseTransaction). Parsing charges one CPU op
+// per byte; caching the RDD is what saves re-paying it on every pass, so
+// callers that reuse it call Cache.
+func LoadTransactions(ctx *rdd.Context, fs *dfs.FileSystem, path string,
+	parts int) (*rdd.RDD[itemset.Itemset], error) {
+	lines, err := rdd.TextFile(ctx, fs, path, parts)
+	if err != nil {
+		return nil, err
+	}
+	return rdd.MapPartitions(lines, "transactions",
+		func(_ int, rows []string, led *sim.Ledger) ([]itemset.Itemset, error) {
+			out := make([]itemset.Itemset, 0, len(rows))
+			parsedBytes := 0
+			for i, row := range rows {
+				if i%CancelCheckRows == 0 {
+					if err := ctx.Err(); err != nil {
+						return nil, err
+					}
+				}
+				t, err := itemset.ParseTransaction(row)
+				if err != nil {
+					return nil, err
+				}
+				out = append(out, t)
+				parsedBytes += len(row)
+			}
+			led.AddCPU(float64(parsedBytes))
+			return out, nil
+		}), nil
+}
+
+// FrequentItems is Phase I's counting step (Fig. 1, Algorithm 2): flatMap
+// the transactions to items, map each to <item, 1>, reduceByKey, and keep
+// the items occurring in at least minCount transactions.
+func FrequentItems(trans *rdd.RDD[itemset.Itemset], minCount, parts int) ([]apriori.SetCount, error) {
+	items := rdd.FlatMap(trans, "items", func(t itemset.Itemset) []itemset.Item { return t })
+	pairs := rdd.Map(items, "itemPairs", func(it itemset.Item) rdd.Pair[int32, int] {
+		return rdd.Pair[int32, int]{Key: int32(it), Value: 1}
+	})
+	counts := rdd.ReduceByKey(pairs, "itemCounts", func(a, b int) int { return a + b }, parts)
+	frequent := rdd.Filter(counts, "frequentItems", func(kv rdd.Pair[int32, int]) bool {
+		return kv.Value >= minCount
+	})
+	l1Pairs, err := rdd.Collect(frequent)
+	if err != nil {
+		return nil, err
+	}
+	l1 := make([]apriori.SetCount, len(l1Pairs))
+	for i, kv := range l1Pairs {
+		l1[i] = apriori.SetCount{Set: itemset.New(itemset.Item(kv.Key)), Count: kv.Value}
+	}
+	return l1, nil
+}
 
 // countBufs pools the dense per-partition count buffers of countPass so
 // that passes and partitions reuse them instead of allocating one per task.
@@ -219,7 +239,7 @@ func countPass(ctx *rdd.Context, trans *rdd.RDD[itemset.Itemset],
 			var ops int64
 			if brute {
 				for r, tr := range rows {
-					if r%cancelCheckRows == 0 {
+					if r%CancelCheckRows == 0 {
 						if err := ctx.Err(); err != nil {
 							return nil, err
 						}
@@ -236,7 +256,7 @@ func countPass(ctx *rdd.Context, trans *rdd.RDD[itemset.Itemset],
 			} else {
 				m := t.NewMatcher()
 				for r, tr := range rows {
-					if r%cancelCheckRows == 0 {
+					if r%CancelCheckRows == 0 {
 						if err := ctx.Err(); err != nil {
 							return nil, err
 						}
@@ -283,48 +303,4 @@ func sets(scs []apriori.SetCount) []itemset.Itemset {
 		out[i] = sc.Set
 	}
 	return out
-}
-
-func parseTransaction(line string) (itemset.Itemset, error) {
-	var items []itemset.Item
-	v, inNum := 0, false
-	for i := 0; i <= len(line); i++ {
-		if i < len(line) && line[i] >= '0' && line[i] <= '9' {
-			v = v*10 + int(line[i]-'0')
-			inNum = true
-			continue
-		}
-		if i < len(line) && line[i] != ' ' && line[i] != '\t' {
-			return nil, fmt.Errorf("yafim: bad transaction line %q", line)
-		}
-		if inNum {
-			items = append(items, itemset.Item(v))
-			v, inNum = 0, false
-		}
-	}
-	return itemset.New(items...), nil
-}
-
-// minSupportCount converts a relative support into an absolute count over n
-// transactions, rounding up (same contract as itemset.DB.MinSupportCount).
-func minSupportCount(rel float64, n int64) int {
-	c := int(rel * float64(n))
-	if float64(c) < rel*float64(n) {
-		c++
-	}
-	if c < 1 {
-		c = 1
-	}
-	return c
-}
-
-// markJobs and jobsSince bracket a pass to attribute job durations to it.
-func markJobs(ctx *rdd.Context) int { return len(ctx.Reports()) }
-
-func jobsSince(ctx *rdd.Context, mark int) time.Duration {
-	var d time.Duration
-	for _, r := range ctx.Reports()[mark:] {
-		d += r.Duration()
-	}
-	return d
 }

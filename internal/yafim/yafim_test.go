@@ -175,6 +175,8 @@ func TestMineEmptyFile(t *testing.T) {
 	}
 }
 
+// LoadTransactions parses every line of the input into its canonical
+// itemset and fails on a malformed one.
 func TestParseTransaction(t *testing.T) {
 	cases := []struct {
 		in   string
@@ -190,13 +192,25 @@ func TestParseTransaction(t *testing.T) {
 		{"a b", nil, false},
 	}
 	for _, c := range cases {
-		got, err := parseTransaction(c.in)
+		fs := dfs.New(2)
+		if err := fs.WriteFile("/in.dat", []byte("9\n"+c.in+"\n"), nil); err != nil {
+			t.Fatal(err)
+		}
+		ctx, err := rdd.NewContext(cluster.Local())
+		if err != nil {
+			t.Fatal(err)
+		}
+		trans, err := LoadTransactions(ctx, fs, "/in.dat", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := rdd.Collect(trans)
 		if c.ok != (err == nil) {
 			t.Errorf("parse(%q) err = %v", c.in, err)
 			continue
 		}
-		if c.ok && !got.Equal(c.want) {
-			t.Errorf("parse(%q) = %v, want %v", c.in, got, c.want)
+		if c.ok && (len(got) != 2 || !got[1].Equal(c.want)) {
+			t.Errorf("parse(%q) = %v, want [[9] %v]", c.in, got, c.want)
 		}
 	}
 }

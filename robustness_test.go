@@ -68,7 +68,7 @@ func TestMineContextCanceled(t *testing.T) {
 	cancel()
 	small := ClusterLocal()
 	for _, eng := range []Engine{EngineYAFIM, EngineMapReduce, EngineSON,
-		EngineDistEclat, EngineSequential, EngineEclat} {
+		EngineDistEclat, EngineRDDEclat, EngineSequential, EngineEclat} {
 		t.Run(eng.String(), func(t *testing.T) {
 			_, err := MineContext(ctx, db, 0.2, Options{Engine: eng, Cluster: &small})
 			if !errors.Is(err, ErrCanceled) {

@@ -217,8 +217,9 @@ func NewItemset(items ...Item) Itemset { return itemset.New(items...) }
 // NewDB builds a database from raw transactions.
 func NewDB(name string, rows [][]Item) *DB { return itemset.NewDB(name, rows) }
 
-// LoadFile reads a transaction database in .dat format (one transaction per
-// line, whitespace-separated non-negative item ids).
+// LoadFile reads a transaction database in .dat format: one transaction per
+// line, item ids in [0, 2^31-1] separated by ASCII whitespace. Blank lines
+// are skipped.
 func LoadFile(name, path string) (*DB, error) { return dataset.LoadFile(name, path) }
 
 // SaveFile writes a database to the local file system in .dat format.
