@@ -45,14 +45,17 @@ check: build fmt vet staticcheck race vuln
 # chaos runs the fault-injection invariant suite under the race detector:
 # every Chaos* test plus the FuzzChaosInvariant seed corpora, which assert
 # that seeded faults never change results and that recovery is deterministic.
-# The determinism test then runs at 1, 2 and 8 procs: the same seed must
-# give byte-identical counters however the tasks are scheduled.
+# The determinism tests then run at 1, 2 and 8 procs: the same seed must
+# give byte-identical counters however the tasks are scheduled, for the
+# level-wise engines and for the vertical engine at both class depths.
 chaos:
 	$(GO) test -race ./internal/chaos/ ./internal/sim/ ./internal/dfs/
 	$(GO) test -race -run 'Chaos' ./internal/rdd/ ./internal/mapreduce/ \
-		./internal/experiments/
+		./internal/experiments/ ./internal/rddeclat/
 	$(GO) test -race -count=1 -cpu 1,2,8 -run 'TestRunChaosDeterministic$$' \
 		./internal/experiments/
+	$(GO) test -race -count=1 -cpu 1,2,8 -run 'TestChaosNodeKillMidIntersection$$' \
+		./internal/rddeclat/
 
 # diag runs the diagnosis layer end to end on a small fixed-seed dataset
 # with an injected 4x straggler node: both engines mine, the analyzer builds

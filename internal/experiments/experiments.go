@@ -100,6 +100,28 @@ func (e Env) tasks(cfg cluster.Config) int {
 	return 2 * cfg.TotalCores()
 }
 
+// runRDD stages db into a fresh DFS, opens a driver context on the given
+// cluster with the recorder (if any) attached to the DFS as well, and runs
+// mine over the staged path.
+func runRDD(goCtx context.Context, db *itemset.DB, cfg cluster.Config, opts []rdd.Option,
+	mine func(*rdd.Context, *dfs.FileSystem, string) (*apriori.Trace, error)) (*apriori.Trace, *rdd.Context, error) {
+	fs := dfs.New(cfg.Nodes)
+	path := stagePath(db.Name)
+	if _, err := dataset.Stage(fs, path, db); err != nil {
+		return nil, nil, err
+	}
+	ctx, err := rdd.NewContext(cfg, append([]rdd.Option{rdd.WithContext(goCtx)}, opts...)...)
+	if err != nil {
+		return nil, nil, err
+	}
+	fs.SetRecorder(ctx.Recorder())
+	trace, err := mine(ctx, fs, path)
+	if err != nil {
+		return nil, nil, err
+	}
+	return trace, ctx, nil
+}
+
 // RunYAFIM stages db into a fresh DFS and mines it with YAFIM on the given
 // cluster, returning the trace and the driver context (for cost inspection).
 // Pass rdd.WithRecorder to capture telemetry; the recorder is also attached
@@ -107,49 +129,27 @@ func (e Env) tasks(cfg cluster.Config) int {
 // the next task boundary (pass context.Background() to run to completion).
 func RunYAFIM(goCtx context.Context, db *itemset.DB, support float64, cfg cluster.Config, tasks int,
 	mineCfg yafim.Config, opts ...rdd.Option) (*apriori.Trace, *rdd.Context, error) {
-	fs := dfs.New(cfg.Nodes)
-	path := stagePath(db.Name)
-	if _, err := dataset.Stage(fs, path, db); err != nil {
-		return nil, nil, err
-	}
-	ctx, err := rdd.NewContext(cfg, append([]rdd.Option{rdd.WithContext(goCtx)}, opts...)...)
-	if err != nil {
-		return nil, nil, err
-	}
-	fs.SetRecorder(ctx.Recorder())
 	mineCfg.MinSupport = support
 	if mineCfg.NumPartitions == 0 {
 		mineCfg.NumPartitions = tasks
 	}
-	trace, err := yafim.Mine(ctx, fs, path, mineCfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return trace, ctx, nil
+	return runRDD(goCtx, db, cfg, opts, func(ctx *rdd.Context, fs *dfs.FileSystem, path string) (*apriori.Trace, error) {
+		return yafim.Mine(ctx, fs, path, mineCfg)
+	})
 }
 
-// RunDistEclat stages db into a fresh DFS and mines it with Dist-Eclat on
-// the given cluster. Pass rdd.WithRecorder to capture telemetry.
+// RunDistEclat stages db into a fresh DFS and mines it with the Dist-Eclat
+// preset of RDD-Eclat on the given cluster. Pass rdd.WithRecorder to capture
+// telemetry.
 func RunDistEclat(goCtx context.Context, db *itemset.DB, support float64, cfg cluster.Config, tasks int,
-	opts ...rdd.Option) (*apriori.Trace, *rdd.Context, error) {
-	fs := dfs.New(cfg.Nodes)
-	path := stagePath(db.Name)
-	if _, err := dataset.Stage(fs, path, db); err != nil {
-		return nil, nil, err
+	mineCfg disteclat.Config, opts ...rdd.Option) (*apriori.Trace, *rdd.Context, error) {
+	mineCfg.MinSupport = support
+	if mineCfg.NumPartitions == 0 {
+		mineCfg.NumPartitions = tasks
 	}
-	ctx, err := rdd.NewContext(cfg, append([]rdd.Option{rdd.WithContext(goCtx)}, opts...)...)
-	if err != nil {
-		return nil, nil, err
-	}
-	fs.SetRecorder(ctx.Recorder())
-	trace, err := disteclat.Mine(ctx, fs, path, disteclat.Config{
-		MinSupport:    support,
-		NumPartitions: tasks,
+	return runRDD(goCtx, db, cfg, opts, func(ctx *rdd.Context, fs *dfs.FileSystem, path string) (*apriori.Trace, error) {
+		return disteclat.Mine(ctx, fs, path, mineCfg)
 	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return trace, ctx, nil
 }
 
 // RunRDDEclat stages db into a fresh DFS and mines it with the
@@ -157,25 +157,13 @@ func RunDistEclat(goCtx context.Context, db *itemset.DB, support float64, cfg cl
 // Pass rdd.WithRecorder to capture telemetry.
 func RunRDDEclat(goCtx context.Context, db *itemset.DB, support float64, cfg cluster.Config, tasks int,
 	mineCfg rddeclat.Config, opts ...rdd.Option) (*apriori.Trace, *rdd.Context, error) {
-	fs := dfs.New(cfg.Nodes)
-	path := stagePath(db.Name)
-	if _, err := dataset.Stage(fs, path, db); err != nil {
-		return nil, nil, err
-	}
-	ctx, err := rdd.NewContext(cfg, append([]rdd.Option{rdd.WithContext(goCtx)}, opts...)...)
-	if err != nil {
-		return nil, nil, err
-	}
-	fs.SetRecorder(ctx.Recorder())
 	mineCfg.MinSupport = support
 	if mineCfg.NumPartitions == 0 {
 		mineCfg.NumPartitions = tasks
 	}
-	trace, err := rddeclat.Mine(ctx, fs, path, mineCfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return trace, ctx, nil
+	return runRDD(goCtx, db, cfg, opts, func(ctx *rdd.Context, fs *dfs.FileSystem, path string) (*apriori.Trace, error) {
+		return rddeclat.Mine(ctx, fs, path, mineCfg)
+	})
 }
 
 // RunMRApriori stages db into a fresh DFS and mines it with the MapReduce

@@ -11,6 +11,7 @@ import (
 	"yafim/internal/cluster"
 	"yafim/internal/dataset"
 	"yafim/internal/dfs"
+	"yafim/internal/disteclat"
 	"yafim/internal/itemset"
 	"yafim/internal/mapreduce"
 	"yafim/internal/mrapriori"
@@ -69,8 +70,8 @@ func RunVariants(ctx context.Context, b Benchmark, env Env) (*Variants, error) {
 	}
 
 	// Dist-Eclat on the Spark profile: vertical mining in a fixed number of
-	// jobs.
-	dTrace, dCtx, err := RunDistEclat(ctx, db, b.Support, env.Spark, env.tasks(env.Spark))
+	// jobs, one prefix class per frequent item.
+	dTrace, dCtx, err := RunDistEclat(ctx, db, b.Support, env.Spark, env.tasks(env.Spark), disteclat.Config{})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: variants %s: disteclat: %w", b.Name, err)
 	}

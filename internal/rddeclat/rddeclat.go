@@ -14,15 +14,18 @@
 //     item — merges them into full tidlists, and converts the collected
 //     lists into one transaction bitset per frequent item, keyed by the
 //     itemset.ItemIndex dense id and broadcast to the cluster.
-//   - Pass 2 partitions the k=1 prefix equivalence classes across tasks and
-//     intersects every item pair with a fused AND+popcount word loop,
-//     yielding the frequent 2-itemsets.
-//   - The deep pass partitions the k=2 prefix equivalence classes (one per
-//     frequent 2-itemset, the granularity the RDD-Eclat variants found to
-//     balance best) across tasks; each class is mined depth-first locally,
-//     carrying intersected bitsets down the recursion exactly like the
-//     sequential internal/eclat oracle carries tidlists — so the two
-//     engines agree set for set and count for count.
+//   - At class depth 2 (the default), pass 2 partitions the k=1 prefix
+//     equivalence classes across tasks and intersects every item pair with
+//     a fused AND+popcount word loop, yielding the frequent 2-itemsets.
+//   - The deep pass partitions the equivalence classes across tasks; each
+//     class is mined depth-first locally, carrying intersected bitsets down
+//     the recursion exactly like the sequential internal/eclat oracle
+//     carries tidlists — so the two engines agree set for set and count for
+//     count. Config.ClassDepth sets the class prefix length: 2 gives one
+//     class per frequent 2-itemset, the granularity the RDD-Eclat variants
+//     found to balance best; 1 gives one prefix subtree per frequent item
+//     and skips pass 2, which is Dist-Eclat (Moens, Aksehirli & Goethals,
+//     reference [24] of the paper; internal/disteclat is that preset).
 //
 // Every intersection charges the task ledger one op per 64-bit word
 // touched, so the virtual timeline prices the vertical kernel the same way
@@ -52,6 +55,11 @@ type Config struct {
 	NumPartitions int
 	// MaxK stops after frequent itemsets of this size (0 = unbounded).
 	MaxK int
+	// ClassDepth is the prefix length of the equivalence classes the deep
+	// pass distributes: 2 (or 0) mines one class per frequent 2-itemset
+	// after a pair pass; 1 mines one prefix subtree per frequent item
+	// straight after the vertical build, as Dist-Eclat does.
+	ClassDepth int
 }
 
 // vertical is the broadcast payload of the mining passes: per frequent
@@ -64,6 +72,7 @@ type vertical struct {
 
 // pair2 is one frequent 2-itemset by dense ids (I < J) with its exact
 // support — the output of pass 2 and the class descriptor of the deep pass.
+// At class depth 1 the descriptor is the single item I, with J = -1.
 type pair2 struct {
 	I, J  int32
 	Count int32
@@ -72,9 +81,9 @@ type pair2 struct {
 // SizeBytes implements rdd.Sizer for collect cost estimation.
 func (pair2) SizeBytes() int64 { return 12 }
 
-// classIndex is the deep pass's second broadcast: for every dense id i, the
-// sorted dense ids j > i with {i,j} frequent. The siblings of equivalence
-// class (i,j) are exactly the partners of i beyond j.
+// classIndex is the depth-2 deep pass's second broadcast: for every dense id
+// i, the sorted dense ids j > i with {i,j} frequent. The siblings of
+// equivalence class (i,j) are exactly the partners of i beyond j.
 type classIndex struct {
 	partners [][]int32
 }
@@ -83,6 +92,13 @@ type classIndex struct {
 func Mine(ctx *rdd.Context, fs *dfs.FileSystem, path string, cfg Config) (*apriori.Trace, error) {
 	if cfg.MinSupport <= 0 || cfg.MinSupport > 1 {
 		return nil, fmt.Errorf("rddeclat: MinSupport %v out of (0,1]", cfg.MinSupport)
+	}
+	depth := cfg.ClassDepth
+	if depth == 0 {
+		depth = 2
+	}
+	if depth != 1 && depth != 2 {
+		return nil, fmt.Errorf("rddeclat: ClassDepth %d is neither 1 nor 2", cfg.ClassDepth)
 	}
 	parts := cfg.NumPartitions
 	if parts <= 0 {
@@ -156,13 +172,18 @@ func Mine(ctx *rdd.Context, fs *dfs.FileSystem, path string, cfg Config) (*aprio
 	// turning the horizontal layout into per-item tidlists. Each input
 	// partition emits at most one tidlist fragment per frequent item
 	// (map-side combining: shuffle volume is bounded by items × partitions,
-	// not by item occurrences).
+	// not by item occurrences). At depth 1 this already belongs to the deep
+	// pass, whose candidates are the m prefix classes.
 	ix := itemset.NewItemIndex(l1Sets)
 	m := ix.Len()
 	rec.SetPass(2)
 	passStart = ctx.TotalDuration()
 	passMark = rec.Counters()
-	rec.ObservePass("rdd", 2, m*(m-1)/2)
+	if depth == 1 {
+		rec.ObservePass("rdd", 2, m)
+	} else {
+		rec.ObservePass("rdd", 2, m*(m-1)/2)
+	}
 	tidPairs := rdd.MapPartitions(trans, "itemTids",
 		func(p int, rows []itemset.Itemset, led *sim.Ledger) ([]rdd.Pair[int32, itemset.Tidlist], error) {
 			lists := make([]itemset.Tidlist, m)
@@ -197,7 +218,7 @@ func Mine(ctx *rdd.Context, fs *dfs.FileSystem, path string, cfg Config) (*aprio
 	}
 
 	// Driver-side conversion to the dense bitset layout, broadcast once and
-	// reused by pass 2 and the deep pass.
+	// reused by every mining pass.
 	v := &vertical{ix: ix, bits: make([]*itemset.Bitset, m), words: (int(n) + 63) / 64}
 	var payload int64
 	for _, kv := range collected {
@@ -209,13 +230,119 @@ func Mine(ctx *rdd.Context, fs *dfs.FileSystem, path string, cfg Config) (*aprio
 		payload += int64(8*v.words) + 4
 	}
 	bcVert := rdd.NewBroadcast(ctx, v, payload)
+	ids := seq(m)
 
-	// Pass 2: the k=1 prefix equivalence classes, partitioned across tasks.
-	// Class i intersects item i against every item j > i with one fused
-	// AND+popcount pass over the words.
-	classes1 := rdd.Parallelize(ctx, "prefixClasses", seq(m), parts)
-	f2 := rdd.MapPartitions(classes1, "intersectC2",
-		func(_ int, idxs []int, led *sim.Ledger) ([]pair2, error) {
+	// The deep pass's classes. At depth 1 each frequent item i is a class
+	// whose siblings are all items after it. At depth 2 each frequent
+	// 2-itemset (i,j) from pass 2 is a class whose siblings are the partners
+	// of i beyond j, looked up in a second broadcast.
+	var classes []pair2
+	var bcClasses *rdd.Broadcast[*classIndex]
+	classesName := "prefixClasses"
+	if depth == 1 {
+		classes = make([]pair2, m)
+		for i := range classes {
+			classes[i] = pair2{I: int32(i), J: -1}
+		}
+	} else {
+		l2Pairs, err := frequentPairs(ctx, bcVert, ids, minCount, parts)
+		if err != nil {
+			return nil, err
+		}
+		l2 := make([]apriori.SetCount, len(l2Pairs))
+		for i, p := range l2Pairs {
+			l2[i] = apriori.SetCount{
+				Set:   itemset.New(ix.Item(p.I), ix.Item(p.J)),
+				Count: int(p.Count),
+			}
+		}
+		endPass(2, m*(m-1)/2, len(l2))
+		if len(l2) == 0 {
+			return trace, nil
+		}
+		res.Levels = append(res.Levels, apriori.NewLevel(2, l2))
+		if cfg.MaxK == 2 {
+			return trace, nil
+		}
+
+		rec.SetPass(3)
+		passStart = ctx.TotalDuration()
+		passMark = rec.Counters()
+		rec.ObservePass("rdd", 3, len(l2Pairs))
+		ci := &classIndex{partners: make([][]int32, m)}
+		for _, p := range l2Pairs {
+			ci.partners[p.I] = append(ci.partners[p.I], p.J)
+		}
+		bcClasses = rdd.NewBroadcast(ctx, ci, int64(4*len(l2Pairs)))
+		classes, classesName = l2Pairs, "eqClasses"
+	}
+
+	// Deep pass: the classes partitioned across tasks, each mined
+	// depth-first locally.
+	deepSets := rdd.MapPartitions(rdd.Parallelize(ctx, classesName, classes, parts), "mineClasses",
+		func(_ int, cls []pair2, led *sim.Ledger) ([]apriori.SetCount, error) {
+			vt := bcVert.Acquire(led)
+			var ci *classIndex
+			if bcClasses != nil {
+				ci = bcClasses.Acquire(led)
+			}
+			var out []apriori.SetCount
+			pool := &bitPool{n: int(n)}
+			for _, c := range cls {
+				if err := ctx.Err(); err != nil {
+					return nil, err
+				}
+				if c.J < 0 {
+					// The base is item I's broadcast bitset itself, which
+					// mineClass only reads.
+					prefix := itemset.New(vt.ix.Item(c.I))
+					led.AddCPU(float64(mineClass(vt, prefix, vt.bits[c.I], ids[c.I+1:],
+						minCount, cfg.MaxK, pool, &out)))
+					continue
+				}
+				partners := ci.partners[c.I]
+				k := sort.Search(len(partners), func(x int) bool { return partners[x] > c.J })
+				siblings := partners[k:]
+				if len(siblings) == 0 {
+					continue
+				}
+				base := pool.take()
+				base.AndCountInto(vt.bits[c.I], vt.bits[c.J])
+				prefix := itemset.New(vt.ix.Item(c.I), vt.ix.Item(c.J))
+				ops := int64(vt.words) + mineClass(vt, prefix, base, siblings, minCount, cfg.MaxK, pool, &out)
+				pool.put(base)
+				led.AddCPU(float64(ops))
+			}
+			return out, nil
+		})
+	deep, err := rdd.Collect(deepSets)
+	if err != nil {
+		return nil, fmt.Errorf("rddeclat: mining classes: %w", err)
+	}
+	byLevel := map[int][]apriori.SetCount{}
+	for _, sc := range deep {
+		byLevel[sc.Set.Len()] = append(byLevel[sc.Set.Len()], sc)
+	}
+	for k := depth + 1; ; k++ {
+		sets, ok := byLevel[k]
+		if !ok {
+			break
+		}
+		res.Levels = append(res.Levels, apriori.NewLevel(k, sets))
+	}
+	endPass(res.MaxK(), len(classes), len(deep))
+	return trace, nil
+}
+
+// frequentPairs is pass 2 at class depth 2: the k=1 prefix equivalence
+// classes partitioned across tasks, class i intersecting item i against
+// every item j > i with one fused AND+popcount pass over the words. The
+// frequent pairs come back in (I, J) order.
+func frequentPairs(ctx *rdd.Context, bcVert *rdd.Broadcast[*vertical], ids []int32,
+	minCount, parts int) ([]pair2, error) {
+	m := int32(len(ids))
+	f2 := rdd.MapPartitions(rdd.Parallelize(ctx, "prefixClasses", ids, parts), "intersectC2",
+		func(_ int, idxs []int32, led *sim.Ledger) ([]pair2, error) {
 			vt := bcVert.Acquire(led)
 			var out []pair2
 			var ops int64
@@ -227,7 +354,7 @@ func Mine(ctx *rdd.Context, fs *dfs.FileSystem, path string, cfg Config) (*aprio
 				for j := i + 1; j < m; j++ {
 					ops += int64(vt.words)
 					if cnt := bi.AndCount(vt.bits[j]); cnt >= minCount {
-						out = append(out, pair2{I: int32(i), J: int32(j), Count: int32(cnt)})
+						out = append(out, pair2{I: i, J: j, Count: int32(cnt)})
 					}
 				}
 				led.AddCPU(float64(ops))
@@ -247,66 +374,7 @@ func Mine(ctx *rdd.Context, fs *dfs.FileSystem, path string, cfg Config) (*aprio
 		}
 		return l2Pairs[a].J < l2Pairs[b].J
 	})
-	l2 := make([]apriori.SetCount, len(l2Pairs))
-	for i, p := range l2Pairs {
-		l2[i] = apriori.SetCount{
-			Set:   itemset.New(ix.Item(p.I), ix.Item(p.J)),
-			Count: int(p.Count),
-		}
-	}
-	endPass(2, m*(m-1)/2, len(l2))
-	if len(l2) == 0 {
-		return trace, nil
-	}
-	res.Levels = append(res.Levels, apriori.NewLevel(2, l2))
-	if cfg.MaxK == 2 {
-		return trace, nil
-	}
-
-	// Deep pass: one equivalence class per frequent 2-itemset (i,j),
-	// partitioned across tasks; the class's extension candidates are the
-	// partners of i beyond j, and each class is mined depth-first locally.
-	rec.SetPass(3)
-	passStart = ctx.TotalDuration()
-	passMark = rec.Counters()
-	rec.ObservePass("rdd", 3, len(l2Pairs))
-	ci := &classIndex{partners: make([][]int32, m)}
-	for _, p := range l2Pairs {
-		ci.partners[p.I] = append(ci.partners[p.I], p.J)
-	}
-	bcClasses := rdd.NewBroadcast(ctx, ci, int64(4*len(l2Pairs)))
-	classes2 := rdd.Parallelize(ctx, "eqClasses", l2Pairs, parts)
-	deepSets := rdd.MapPartitions(classes2, "mineClasses",
-		func(_ int, cls []pair2, led *sim.Ledger) ([]apriori.SetCount, error) {
-			vt := bcVert.Acquire(led)
-			idx := bcClasses.Acquire(led)
-			var out []apriori.SetCount
-			pool := &bitPool{n: int(n)}
-			for _, c := range cls {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				mineClass(vt, idx, c, minCount, cfg.MaxK, pool, led, &out)
-			}
-			return out, nil
-		})
-	deep, err := rdd.Collect(deepSets)
-	if err != nil {
-		return nil, fmt.Errorf("rddeclat: mining classes: %w", err)
-	}
-	byLevel := map[int][]apriori.SetCount{}
-	for _, sc := range deep {
-		byLevel[sc.Set.Len()] = append(byLevel[sc.Set.Len()], sc)
-	}
-	for k := 3; ; k++ {
-		sets, ok := byLevel[k]
-		if !ok {
-			break
-		}
-		res.Levels = append(res.Levels, apriori.NewLevel(k, sets))
-	}
-	endPass(res.MaxK(), len(l2Pairs), len(deep))
-	return trace, nil
+	return l2Pairs, nil
 }
 
 // cell is one live node of the depth-first walk: a candidate extension item
@@ -335,81 +403,56 @@ func (p *bitPool) take() *itemset.Bitset {
 
 func (p *bitPool) put(b *itemset.Bitset) { p.free = append(p.free, b) }
 
-// mineClass mines one k=2 equivalence class (i,j): rebuild the class's
-// prefix bitset, materialise the frequent sibling extensions, and walk the
-// subtree depth-first. Every word touched by an intersection charges the
-// ledger one op — the dense word-at-a-time kernel is the engine's unit of
+// mineClass mines one equivalence class depth-first: prefix, whose
+// transactions are base, is extended by each sibling item (dense ids), and
+// every frequent extension's subtree is walked in turn. base and the
+// broadcast sibling bitsets are only read; the walk returns to pool exactly
+// the bitsets it took from it, so a broadcast bitset may serve as base.
+//
+// mineClass returns the ops to charge: one per 64-bit word touched by an
+// intersection — the dense word-at-a-time kernel is the engine's unit of
 // CPU cost, mirroring how the hash-tree engines charge per candidate probe.
-func mineClass(v *vertical, ci *classIndex, c pair2, minCount, maxK int,
-	pool *bitPool, led *sim.Ledger, out *[]apriori.SetCount) {
-
-	partners := ci.partners[c.I]
-	// Siblings of class (i,j): partners of i strictly beyond j.
-	k := sort.Search(len(partners), func(x int) bool { return partners[x] > c.J })
-	siblings := partners[k:]
-	if len(siblings) == 0 {
-		return
-	}
+func mineClass(v *vertical, prefix itemset.Itemset, base *itemset.Bitset, siblings []int32,
+	minCount, maxK int, pool *bitPool, out *[]apriori.SetCount) int64 {
 
 	var ops int64
-	base := pool.take()
-	base.AndCountInto(v.bits[c.I], v.bits[c.J])
-	ops += int64(v.words)
-
-	var dfs func(prefix itemset.Itemset, ext []cell)
-	dfs = func(prefix itemset.Itemset, ext []cell) {
-		for idx, e := range ext {
-			set := prefix.Extend(v.ix.Item(e.item))
-			*out = append(*out, apriori.SetCount{Set: set, Count: e.count})
-			if maxK != 0 && set.Len() >= maxK {
-				continue
-			}
-			var next []cell
-			for _, d := range ext[idx+1:] {
-				tmp := pool.take()
-				cnt := tmp.AndCountInto(e.bits, d.bits)
-				ops += int64(v.words)
-				if cnt >= minCount {
-					next = append(next, cell{item: d.item, bits: tmp, count: cnt})
-				} else {
-					pool.put(tmp)
-				}
-			}
-			if len(next) > 0 {
-				dfs(set, next)
-			}
-			for _, nc := range next {
-				pool.put(nc.bits)
-			}
-		}
-	}
-
-	prefix := itemset.New(v.ix.Item(c.I), v.ix.Item(c.J))
-	if maxK == 0 || prefix.Len() < maxK {
-		ext := make([]cell, 0, len(siblings))
-		for _, s := range siblings {
+	var walk func(prefix itemset.Itemset, base *itemset.Bitset, cands []cell)
+	walk = func(prefix itemset.Itemset, base *itemset.Bitset, cands []cell) {
+		var ext []cell
+		for _, c := range cands {
 			tmp := pool.take()
-			cnt := tmp.AndCountInto(base, v.bits[s])
+			cnt := tmp.AndCountInto(base, c.bits)
 			ops += int64(v.words)
 			if cnt >= minCount {
-				ext = append(ext, cell{item: s, bits: tmp, count: cnt})
+				ext = append(ext, cell{item: c.item, bits: tmp, count: cnt})
 			} else {
 				pool.put(tmp)
 			}
 		}
-		dfs(prefix, ext)
+		for idx, e := range ext {
+			set := prefix.Extend(v.ix.Item(e.item))
+			*out = append(*out, apriori.SetCount{Set: set, Count: e.count})
+			if maxK == 0 || set.Len() < maxK {
+				walk(set, e.bits, ext[idx+1:])
+			}
+		}
 		for _, e := range ext {
 			pool.put(e.bits)
 		}
 	}
-	pool.put(base)
-	led.AddCPU(float64(ops))
+
+	root := make([]cell, len(siblings))
+	for i, s := range siblings {
+		root[i] = cell{item: s, bits: v.bits[s]}
+	}
+	walk(prefix, base, root)
+	return ops
 }
 
-func seq(n int) []int {
-	out := make([]int, n)
+func seq(n int) []int32 {
+	out := make([]int32, n)
 	for i := range out {
-		out[i] = i
+		out[i] = int32(i)
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package rddeclat
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -25,6 +26,10 @@ func classicDB() *itemset.DB {
 	})
 }
 
+// classDepths are the two class granularities every parity test covers:
+// Dist-Eclat's k=1 prefix subtrees and RDD-Eclat's default k=2 classes.
+var classDepths = []int{1, 2}
+
 func stage(t *testing.T, db *itemset.DB, opts ...rdd.Option) (*rdd.Context, *dfs.FileSystem, string) {
 	t.Helper()
 	fs := dfs.New(4, dfs.WithBlockSize(32), dfs.WithReplication(2))
@@ -41,37 +46,46 @@ func stage(t *testing.T, db *itemset.DB, opts ...rdd.Option) (*rdd.Context, *dfs
 }
 
 func TestMineMatchesSequentialOracles(t *testing.T) {
-	ctx, fs, path := stage(t, classicDB())
-	got, err := Mine(ctx, fs, path, Config{MinSupport: 2.0 / 9.0})
-	if err != nil {
-		t.Fatal(err)
-	}
 	want, err := apriori.Mine(classicDB(), 2.0/9.0, apriori.Options{})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !got.Result.Equal(want) {
-		t.Fatalf("RDD-Eclat disagrees with Apriori oracle:\n got %v\nwant %v",
-			got.Result.All(), want.All())
 	}
 	seq, err := eclat.Mine(classicDB(), 2.0/9.0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Result.Equal(seq) {
-		t.Fatalf("RDD-Eclat disagrees with sequential Eclat:\n got %v\nwant %v",
-			got.Result.All(), seq.All())
-	}
-	if len(got.Passes) != 3 {
-		t.Fatalf("trace passes = %d, want 3 (L1 + pairs + deep)", len(got.Passes))
-	}
-	for i, p := range got.Passes {
-		if p.Duration <= 0 {
-			t.Errorf("pass %d duration %v", i, p.Duration)
-		}
-	}
-	if got.Passes[1].K != 2 || got.Passes[1].Candidates == 0 {
-		t.Errorf("pass 2 stat = %+v", got.Passes[1])
+	for _, depth := range classDepths {
+		t.Run(fmt.Sprintf("depth%d", depth), func(t *testing.T) {
+			ctx, fs, path := stage(t, classicDB())
+			got, err := Mine(ctx, fs, path, Config{MinSupport: 2.0 / 9.0, ClassDepth: depth})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Result.Equal(want) {
+				t.Fatalf("RDD-Eclat disagrees with Apriori oracle:\n got %v\nwant %v",
+					got.Result.All(), want.All())
+			}
+			if !got.Result.Equal(seq) {
+				t.Fatalf("RDD-Eclat disagrees with sequential Eclat:\n got %v\nwant %v",
+					got.Result.All(), seq.All())
+			}
+			// Depth 2: L1 + pairs + deep. Depth 1: L1 + deep, whose
+			// candidates are the classes, one per frequent item.
+			if len(got.Passes) != depth+1 {
+				t.Fatalf("trace passes = %d, want %d", len(got.Passes), depth+1)
+			}
+			for i, p := range got.Passes {
+				if p.Duration <= 0 {
+					t.Errorf("pass %d duration %v", i, p.Duration)
+				}
+			}
+			if depth == 1 && got.Passes[1].Candidates != len(got.Result.Levels[0].Sets) {
+				t.Errorf("deep pass stat = %+v, want one candidate per frequent item", got.Passes[1])
+			}
+			if depth == 2 && (got.Passes[1].K != 2 || got.Passes[1].Candidates == 0) {
+				t.Errorf("pass 2 stat = %+v", got.Passes[1])
+			}
+		})
 	}
 }
 
@@ -94,6 +108,11 @@ func TestMineInvalidInputs(t *testing.T) {
 	if _, err := Mine(badCtx, bad, "/bad.dat", Config{MinSupport: 0.5}); err == nil {
 		t.Error("malformed transaction accepted")
 	}
+	for _, depth := range []int{-1, 3} {
+		if _, err := Mine(ctx, fs, path, Config{MinSupport: 0.5, ClassDepth: depth}); err == nil {
+			t.Errorf("class depth %d accepted", depth)
+		}
+	}
 }
 
 func TestMineNothingFrequent(t *testing.T) {
@@ -111,36 +130,40 @@ func TestMineNothingFrequent(t *testing.T) {
 // MaxK must truncate the level sequence without disturbing the surviving
 // levels — each bounded run is a prefix of the unbounded one.
 func TestMineMaxK(t *testing.T) {
-	ctx, fs, path := stage(t, classicDB())
-	full, err := Mine(ctx, fs, path, Config{MinSupport: 2.0 / 9.0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full.Result.MaxK() < 3 {
-		t.Fatalf("classic db only reaches k=%d, fixture too shallow", full.Result.MaxK())
-	}
-	for maxK := 1; maxK <= full.Result.MaxK(); maxK++ {
-		ctx, fs, path := stage(t, classicDB())
-		got, err := Mine(ctx, fs, path, Config{MinSupport: 2.0 / 9.0, MaxK: maxK})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Result.MaxK() != maxK {
-			t.Fatalf("MaxK=%d mined to k=%d", maxK, got.Result.MaxK())
-		}
-		want := &apriori.Result{
-			MinSupport: full.Result.MinSupport,
-			Levels:     full.Result.Levels[:maxK],
-		}
-		if !got.Result.Equal(want) {
-			t.Fatalf("MaxK=%d is not a prefix of the unbounded run", maxK)
-		}
+	for _, depth := range classDepths {
+		t.Run(fmt.Sprintf("depth%d", depth), func(t *testing.T) {
+			ctx, fs, path := stage(t, classicDB())
+			full, err := Mine(ctx, fs, path, Config{MinSupport: 2.0 / 9.0, ClassDepth: depth})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if full.Result.MaxK() < 3 {
+				t.Fatalf("classic db only reaches k=%d, fixture too shallow", full.Result.MaxK())
+			}
+			for maxK := 1; maxK <= full.Result.MaxK(); maxK++ {
+				ctx, fs, path := stage(t, classicDB())
+				got, err := Mine(ctx, fs, path, Config{MinSupport: 2.0 / 9.0, MaxK: maxK, ClassDepth: depth})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Result.MaxK() != maxK {
+					t.Fatalf("MaxK=%d mined to k=%d", maxK, got.Result.MaxK())
+				}
+				want := &apriori.Result{
+					MinSupport: full.Result.MinSupport,
+					Levels:     full.Result.Levels[:maxK],
+				}
+				if !got.Result.Equal(want) {
+					t.Fatalf("MaxK=%d is not a prefix of the unbounded run", maxK)
+				}
+			}
+		})
 	}
 }
 
 // TestSeedSweepParity is the engine-matrix lock: across ≥5 generator seeds of
-// the paper's T10I4D100K distribution, RDD-Eclat, sequential Eclat and YAFIM
-// produce byte-identical frequent itemsets.
+// the paper's T10I4D100K distribution, RDD-Eclat at both class depths,
+// sequential Eclat and YAFIM produce byte-identical frequent itemsets.
 func TestSeedSweepParity(t *testing.T) {
 	const support = 0.005
 	for _, seed := range []int64{1, 2, 3, 4, 5, 2014} {
@@ -152,13 +175,16 @@ func TestSeedSweepParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctx, fs, path := stage(t, db)
-		got, err := Mine(ctx, fs, path, Config{MinSupport: support})
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if !got.Result.Equal(seq) {
-			t.Fatalf("seed %d: RDD-Eclat diverges from sequential Eclat", seed)
+		var got *apriori.Trace
+		for _, depth := range classDepths {
+			ctx, fs, path := stage(t, db)
+			got, err = Mine(ctx, fs, path, Config{MinSupport: support, ClassDepth: depth})
+			if err != nil {
+				t.Fatalf("seed %d depth %d: %v", seed, depth, err)
+			}
+			if !got.Result.Equal(seq) {
+				t.Fatalf("seed %d depth %d: RDD-Eclat diverges from sequential Eclat", seed, depth)
+			}
 		}
 		yCtx, yFs, yPath := stage(t, db)
 		yTrace, err := yafim.Mine(yCtx, yFs, yPath, yafim.Config{MinSupport: support})
@@ -175,48 +201,69 @@ func TestSeedSweepParity(t *testing.T) {
 // intersection phase is in flight: the dead node's cached transaction
 // partitions are recomputed from lineage, its intersection tasks are
 // reassigned, and the mined itemsets stay byte-identical to the fault-free
-// run — only the virtual timeline stretches.
+// run — only the virtual timeline stretches. A second crashed run with the
+// same seed must reproduce the first exactly, counters included.
 func TestChaosNodeKillMidIntersection(t *testing.T) {
 	db, err := datagen.T10I4D100K(0.01, 2014)
 	if err != nil {
 		t.Fatal(err)
 	}
-	refCtx, refFs, refPath := stage(t, db)
-	want, err := Mine(refCtx, refFs, refPath, Config{MinSupport: 0.005})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reports := refCtx.Reports()
-	if len(reports) < 4 {
-		t.Fatalf("run scheduled %d jobs, want >= 4", len(reports))
-	}
-	// Crash once the counting jobs are done: the clock passes this mark at
-	// the boundary entering the vertical-build shuffle, so the intersection
-	// phase starts with a dead node, evicted cache partitions, and lineage
-	// recomputes in its critical path.
-	crashAt := reports[0].Duration() + reports[1].Duration()
+	for _, depth := range classDepths {
+		t.Run(fmt.Sprintf("depth%d", depth), func(t *testing.T) {
+			cfg := Config{MinSupport: 0.005, ClassDepth: depth}
+			refCtx, refFs, refPath := stage(t, db)
+			want, err := Mine(refCtx, refFs, refPath, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reports := refCtx.Reports()
+			if len(reports) < 4 {
+				t.Fatalf("run scheduled %d jobs, want >= 4", len(reports))
+			}
+			// Crash once the counting jobs are done: the clock passes this
+			// mark at the boundary entering the vertical-build shuffle, so
+			// the intersection phase starts with a dead node, evicted cache
+			// partitions, and lineage recomputes in its critical path.
+			crashAt := reports[0].Duration() + reports[1].Duration()
 
-	rec := obs.New()
-	ctx, fs, path := stage(t, db,
-		rdd.WithChaos(&chaos.Plan{Seed: 7, Crash: &chaos.NodeCrash{Node: 1, At: crashAt}}),
-		rdd.WithRecorder(rec))
-	got, err := Mine(ctx, fs, path, Config{MinSupport: 0.005})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Result.Equal(want.Result) {
-		t.Fatal("node kill changed the mined itemsets")
-	}
-	c := rec.Counters()
-	if c.CacheEvictions == 0 {
-		t.Fatal("node crash evicted no cached partitions")
-	}
-	if c.LineageRecomputes == 0 {
-		t.Fatal("lost cached partitions were not recomputed from lineage")
-	}
-	if ctx.TotalDuration() <= refCtx.TotalDuration() {
-		t.Fatalf("crashed run not slower: %v vs fault-free %v",
-			ctx.TotalDuration(), refCtx.TotalDuration())
+			crashed := func() (*apriori.Trace, *rdd.Context, obs.Counters) {
+				rec := obs.New()
+				ctx, fs, path := stage(t, db,
+					rdd.WithChaos(&chaos.Plan{Seed: 7, Crash: &chaos.NodeCrash{Node: 1, At: crashAt}}),
+					rdd.WithRecorder(rec))
+				got, err := Mine(ctx, fs, path, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return got, ctx, rec.Counters()
+			}
+			got, ctx, c := crashed()
+			if !got.Result.Equal(want.Result) {
+				t.Fatal("node kill changed the mined itemsets")
+			}
+			if c.CacheEvictions == 0 {
+				t.Fatal("node crash evicted no cached partitions")
+			}
+			if c.LineageRecomputes == 0 {
+				t.Fatal("lost cached partitions were not recomputed from lineage")
+			}
+			if ctx.TotalDuration() <= refCtx.TotalDuration() {
+				t.Fatalf("crashed run not slower: %v vs fault-free %v",
+					ctx.TotalDuration(), refCtx.TotalDuration())
+			}
+
+			again, againCtx, c2 := crashed()
+			if c2 != c {
+				t.Fatalf("same seed, different counters:\n first %+v\nsecond %+v", c, c2)
+			}
+			if !again.Result.Equal(got.Result) {
+				t.Fatal("same seed, different itemsets")
+			}
+			if againCtx.TotalDuration() != ctx.TotalDuration() {
+				t.Fatalf("same seed, different virtual time: %v vs %v",
+					againCtx.TotalDuration(), ctx.TotalDuration())
+			}
+		})
 	}
 }
 
@@ -231,10 +278,10 @@ func TestMergeTids(t *testing.T) {
 	}
 }
 
-// Property: RDD-Eclat equals the sequential Eclat oracle on random databases
-// and partitionings.
+// Property: RDD-Eclat equals the sequential Eclat oracle on random databases,
+// partitionings and class depths.
 func TestMineMatchesOracleProperty(t *testing.T) {
-	f := func(seed int64, sup8, parts8 uint8) bool {
+	f := func(seed int64, sup8, parts8, depth8 uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		sup := 0.15 + float64(sup8%7)/10.0
 		rows := make([][]itemset.Item, rng.Intn(20)+5)
@@ -253,7 +300,8 @@ func TestMineMatchesOracleProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := Mine(ctx, fs, "/r.dat", Config{MinSupport: sup, NumPartitions: 1 + int(parts8%4)})
+		got, err := Mine(ctx, fs, "/r.dat", Config{MinSupport: sup, NumPartitions: 1 + int(parts8%4),
+			ClassDepth: classDepths[int(depth8)%len(classDepths)]})
 		if err != nil {
 			return false
 		}

@@ -30,6 +30,7 @@ import (
 	"yafim/internal/cluster"
 	"yafim/internal/datagen"
 	"yafim/internal/dataset"
+	"yafim/internal/disteclat"
 	"yafim/internal/eclat"
 	"yafim/internal/exec"
 	"yafim/internal/experiments"
@@ -430,7 +431,7 @@ func MineContext(ctx context.Context, db *DB, minSupport float64, opts Options) 
 	case EngineDistEclat:
 		cfg := clusterOrDefault(opts.Cluster, cluster.PaperSpark)
 		trace, _, err := experiments.RunDistEclat(ctx, db, minSupport, cfg, tasks(opts, cfg),
-			rddOptions(opts)...)
+			disteclat.Config{MaxK: opts.MaxK}, rddOptions(opts)...)
 		return trace, err
 	case EngineAprioriTid:
 		return timed(ctx, func() (*Result, error) { return apriori.MineAprioriTid(db, minSupport) })

@@ -57,7 +57,8 @@ func TestMineDefaultsToPaperCluster(t *testing.T) {
 
 func TestMineMaxK(t *testing.T) {
 	local := ClusterLocal()
-	for _, e := range []Engine{EngineYAFIM, EngineMapReduce, EngineSequential, EngineRDDEclat} {
+	for _, e := range []Engine{EngineYAFIM, EngineMapReduce, EngineSequential, EngineRDDEclat,
+		EngineDistEclat} {
 		trace, err := Mine(exampleDB(), 2.0/9.0, Options{Engine: e, Cluster: &local, MaxK: 1})
 		if err != nil {
 			t.Fatalf("%v: %v", e, err)
